@@ -4,10 +4,9 @@
 // compare against.
 //
 //	pa-hotpath -n 1000000 -x 4 -ranks 4,8                  # print TSV
-//	pa-hotpath -n 1000000 -x 4 -ranks 1 -workers 1,2,4,8   # worker sweep
+//	pa-hotpath -n 1000000 -x 4 -ranks 1,2,4                # rank sweep
 //	pa-hotpath ... -pollevery 0,16,64,1024                 # polling ablation
 //	pa-hotpath ... -transport shm,local                    # transport ablation
-//	pa-hotpath -n 1000000 -ranks 2,4 -workers 1,2,4 -matrix # efficiency matrix
 //	pa-hotpath ... -label after -baseline old.json -out f  # write trajectory
 //	pa-hotpath -n 1000000 -ranks 4 -hub-prefix 0 -out results/BENCH_hubcache.json
 //	pa-hotpath -n 1000000 -ranks 4 -resolve -out results/BENCH_recompute.json
@@ -19,12 +18,8 @@
 //
 // -transport sweeps the in-process transports (shm hands message
 // batches between co-located ranks by reference; local round-trips
-// them through the wire codec), and every row records the transport,
-// GOMAXPROCS and work-steal counts it ran with. -matrix additionally
-// measures the ranks x workers efficiency matrix — each cell's wall
-// time, its speedup over workers=1 at the same rank count and
-// transport, and the parallel efficiency — appended to the report as
-// the "matrix" block.
+// them through the wire codec), and every row records the transport
+// and GOMAXPROCS it ran with.
 //
 // -resolve switches to the resolve-mode census: for every rank count it
 // measures traffic per edge under the wire protocol, the hub-prefix
@@ -32,7 +27,7 @@
 // pagen/pa-tcp), plus the replay-depth quantiles of the recompute runs.
 //
 // -stream-dir DIR switches to the external-memory benchmark: one run
-// at the first -ranks/-workers setting spilling its edges to shard
+// at the first -ranks setting spilling its edges to shard
 // files (docs/SHARD_FORMAT.md), recording throughput, sink counters
 // and the process peak RSS alongside the in-memory estimate the sink
 // avoids. It maintains results/BENCH_stream.json:
@@ -41,14 +36,14 @@
 //	    -out results/BENCH_stream.json
 //
 // -ckpt-every DLIST switches to the checkpoint-stall sweep: for each
-// cadence one streamed+checkpointed run at the first -ranks/-workers
-// setting records the per-epoch generation pause and background publish
+// cadence one streamed+checkpointed run at the first -ranks setting
+// records the per-epoch generation pause and background publish
 // time (the low-stall checkpointing trajectory), -ckpt-full-every adds
 // base+delta rows at that full-snapshot cadence, and -ckpt-kill-sends
 // adds kill/resume legs verifying the resumed shard output is identical
 // to an uninterrupted run. It maintains results/BENCH_ckpt.json:
 //
-//	pa-hotpath -n 1000000 -ranks 4 -workers 1 -ckpt-every 50000,100000 \
+//	pa-hotpath -n 1000000 -ranks 4 -ckpt-every 50000,100000 \
 //	    -ckpt-dir /tmp/ckbench -ckpt-full-every 4 -ckpt-kill-sends 40,400 \
 //	    -baseline old.json -out results/BENCH_ckpt.json
 package main
@@ -68,9 +63,7 @@ func main() {
 		n           = flag.Int64("n", 1_000_000, "nodes")
 		x           = flag.Int("x", 4, "edges per node")
 		ps          = flag.String("ranks", "4,8", "comma-separated rank counts")
-		ws          = flag.String("workers", "1", "comma-separated per-rank worker counts")
 		transports  = flag.String("transport", "shm", "comma-separated in-process transports to sweep: shm, local")
-		matrix      = flag.Bool("matrix", false, "measure the intra-host ranks x workers efficiency matrix instead of the flat sweep")
 		pe          = flag.String("pollevery", "", "comma-separated polling intervals to sweep (0 = adaptive; empty = engine default)")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		label       = flag.String("label", "current", "label recorded in the report")
@@ -90,10 +83,6 @@ func main() {
 	flag.Parse()
 
 	rankList, err := cliutil.ParseInts(*ps)
-	if err != nil {
-		fatal(err)
-	}
-	workerList, err := cliutil.ParseInts(*ws)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,13 +107,11 @@ func main() {
 
 	if *fp {
 		for _, p := range rankList {
-			for _, w := range workerList {
-				h, err := bench.FingerprintAt(*n, *x, p, w, *seed)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("n=%d x=%d ranks=%d workers=%d seed=%d fingerprint=%016x\n", *n, *x, p, w, *seed, h)
+			h, err := bench.Fingerprint(*n, *x, p, *seed)
+			if err != nil {
+				fatal(err)
 			}
+			fmt.Printf("n=%d x=%d ranks=%d seed=%d fingerprint=%016x\n", *n, *x, p, *seed, h)
 		}
 		return
 	}
@@ -143,15 +130,12 @@ func main() {
 		if *ckptDir == "" {
 			fatal(fmt.Errorf("-ckpt-every needs -ckpt-dir (scratch space for checkpoints and shards)"))
 		}
-		ranks, workers := 1, 1
+		ranks := 1
 		if len(rankList) > 0 {
 			ranks = rankList[0]
 		}
-		if len(workerList) > 0 {
-			workers = workerList[0]
-		}
 		cfg := bench.CkptConfig{
-			N: *n, X: *x, Ranks: ranks, Workers: workers, Seed: *seed,
+			N: *n, X: *x, Ranks: ranks, Seed: *seed,
 			FullEvery: *ckptFull, Dir: *ckptDir,
 		}
 		for _, e := range everyList {
@@ -202,12 +186,8 @@ func main() {
 		if len(rankList) > 0 {
 			ranks = rankList[0]
 		}
-		workers := 1
-		if len(workerList) > 0 {
-			workers = workerList[0]
-		}
 		rep, err := bench.StreamBench(bench.StreamConfig{
-			N: *n, X: *x, Ranks: ranks, Workers: workers, Seed: *seed,
+			N: *n, X: *x, Ranks: ranks, Seed: *seed,
 			Dir: *streamDir, BlockEdges: *streamBlock,
 		})
 		if err != nil {
@@ -239,12 +219,8 @@ func main() {
 	}
 
 	if *resolve {
-		workers := 1
-		if len(workerList) > 0 {
-			workers = workerList[0]
-		}
 		rep, err := bench.RecomputeSweep(bench.RecomputeConfig{
-			N: *n, X: *x, Ranks: rankList, Workers: workers,
+			N: *n, X: *x, Ranks: rankList,
 			Seed: *seed, Depth: *rcDepth,
 		})
 		if err != nil {
@@ -281,12 +257,8 @@ func main() {
 		for i, h := range hubList {
 			settings[i] = int64(h)
 		}
-		workers := 1
-		if len(workerList) > 0 {
-			workers = workerList[0]
-		}
 		rep, err := bench.HubCacheSweep(bench.HubCacheConfig{
-			N: *n, X: *x, Ranks: rankList, Workers: workers,
+			N: *n, X: *x, Ranks: rankList,
 			Seed: *seed, HubPrefixes: settings,
 		})
 		if err != nil {
@@ -315,33 +287,18 @@ func main() {
 	}
 
 	rep, err := bench.HotPathSweep(bench.HotPathConfig{
-		N: *n, X: *x, Ranks: rankList, Workers: workerList,
+		N: *n, X: *x, Ranks: rankList,
 		PollEvery: pollList, Transports: transportList, Seed: *seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	rep.Label = *label
-	if *matrix {
-		rep.Matrix, err = bench.HotPathMatrix(bench.MatrixConfig{
-			N: *n, X: *x, Ranks: rankList, Workers: workerList,
-			Transports: transportList, Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
 
 	if *out == "" {
 		fmt.Printf("# hot path (n=%d, x=%d, RRP)\n", *n, *x)
 		if err := bench.WriteHotPath(os.Stdout, rep); err != nil {
 			fatal(err)
-		}
-		if len(rep.Matrix) > 0 {
-			fmt.Printf("# ranks x workers matrix (n=%d, x=%d, GOMAXPROCS=%d)\n", *n, *x, rep.GOMAXPROCS)
-			if err := bench.WriteMatrix(os.Stdout, rep.Matrix); err != nil {
-				fatal(err)
-			}
 		}
 		return
 	}

@@ -1,7 +1,7 @@
 // Command pa-serve is the generation-as-a-service control plane: a
 // long-lived daemon exposing the preferential-attachment generator
 // through an HTTP/JSON job API (docs/API.md). Clients submit
-// parameterizations (n, x, p, seed, scheme, ranks, workers, resolve,
+// parameterizations (n, x, p, seed, scheme, ranks, resolve,
 // hub-prefix), poll status, list, cancel or preempt jobs, and download
 // a finished job's edges — either the merged binary graph streamed
 // from its shards or the raw per-rank shard files.

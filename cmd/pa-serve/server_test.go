@@ -93,6 +93,7 @@ func waitDone(t *testing.T, base, id string) map[string]any {
 func TestServeEndToEnd(t *testing.T) {
 	ts := newTestServer(t, jobqueue.InProcessRunner{}, nil)
 
+	// "workers" is deprecated and ignored, but old clients still send it.
 	code, j := doJSON(t, "POST", ts.URL+"/jobs",
 		`{"n": 3000, "x": 2, "seed": 7, "ranks": 2, "workers": 2, "checkpoint_every": 1000}`)
 	if code != http.StatusAccepted {
@@ -135,7 +136,7 @@ func TestServeEndToEnd(t *testing.T) {
 	part, _ := partition.New(partition.KindRRP, 3000, 2)
 	if _, err := core.Run(core.Options{
 		Params: model.Params{N: 3000, X: 2, P: model.DefaultP}, Part: part,
-		Seed: 7, Workers: 2, StreamDir: refDir,
+		Seed: 7, StreamDir: refDir,
 	}, false); err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -86,7 +86,6 @@ func main() {
 		p         = flag.Float64("p", 0.5, "direct-attachment probability")
 		scheme    = flag.String("scheme", "RRP", "partitioning scheme")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "generation goroutines for this rank (0 = GOMAXPROCS)")
 		transp    = flag.String("transport", "tcp", "rank-to-rank transport; pa-tcp only speaks tcp (co-located ranks without process isolation: use pagen -transport=shm)")
 		hub       = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); all ranks must agree")
 		resolve   = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; all ranks must agree")
@@ -127,7 +126,7 @@ func main() {
 	if *supervise {
 		runSupervisor(addrList, supervisorConfig{
 			n: *n, x: *x, p: *p, scheme: *scheme, seed: *seed,
-			workers: *workers, hub: *hub, stats: *stats, handshake: *handshake,
+			hub: *hub, stats: *stats, handshake: *handshake,
 			resolve: *resolve, rcDepth: *rcDepth,
 			ckptDir: *ckptDir, ckptN: *ckptN, ckptKeep: *ckptKeep, ckptFull: *ckptFull,
 			resume: *resume, maxRestarts: *maxRestarts, shardDir: *shardDir,
@@ -163,13 +162,12 @@ func main() {
 	defer tr.Close()
 
 	res, err := core.RunRank(tr, core.Options{
-		Params:           model.Params{N: *n, X: *x, P: *p},
-		Part:             part,
-		Seed:             *seed,
-		Workers:          *workers,
-		HubPrefix:        *hub,
-		Resolve:          mode,
-		RecomputeDepth:   *rcDepth,
+		Params:         model.Params{N: *n, X: *x, P: *p},
+		Part:           part,
+		Seed:           *seed,
+		HubPrefix:      *hub,
+		Resolve:        mode,
+		RecomputeDepth: *rcDepth,
 		// Node-load counters are the one metrics input snapshots do not
 		// capture; under checkpointing -metrics still exports everything
 		// else (pause/write histograms included).
@@ -329,7 +327,6 @@ type supervisorConfig struct {
 	p           float64
 	scheme      string
 	seed        uint64
-	workers     int
 	hub         int64
 	resolve     string
 	rcDepth     int
@@ -406,7 +403,6 @@ func superviseOnce(exe string, addrList []string, sc supervisorConfig, resume bo
 			"-p", strconv.FormatFloat(sc.p, 'g', -1, 64),
 			"-scheme", sc.scheme,
 			"-seed", strconv.FormatUint(sc.seed, 10),
-			"-workers", strconv.Itoa(sc.workers),
 			"-hub-prefix", strconv.FormatInt(sc.hub, 10),
 			"-resolve", sc.resolve,
 			"-recompute-depth", strconv.Itoa(sc.rcDepth),

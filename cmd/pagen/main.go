@@ -32,58 +32,114 @@
 // reference, no serialization) or local (every batch round-trips
 // through the wire codec — the serialization ablation). The output is
 // byte-identical for both; tcp is rejected here (use pa-tcp).
+//
+// -ranks defaults to the host's core count (GOMAXPROCS): each rank is
+// one goroutine. The edge multiset is the same for every rank count,
+// but the order of the written edges follows the rank count under RRP,
+// so pin -ranks when files must be byte-reproducible across hosts.
+//
+// Flag combinations and -format are checked before anything is
+// generated or any file is created.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 
 	"pagen"
 	"pagen/internal/graph"
 )
 
 func main() {
-	var (
-		n           = flag.Int64("n", 100000, "number of nodes")
-		x           = flag.Int("x", 4, "edges per new node")
-		p           = flag.Float64("p", 0.5, "direct-attachment probability (0.5 = exact BA)")
-		ranks       = flag.Int("ranks", 4, "number of parallel ranks")
-		workers     = flag.Int("workers", 0, "generation goroutines per rank (0 = GOMAXPROCS)")
-		transport   = flag.String("transport", "shm", "in-process transport between ranks: shm (by-reference) or local (serialization ablation); output is identical for both")
-		scheme      = flag.String("scheme", "RRP", "partitioning scheme: UCP, LCP, RRP, ExactCP")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		hub         = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); output is identical for every setting")
-		resolve     = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes")
-		rcDepth     = flag.Int("recompute-depth", 0, "recompute replay chain depth cap before wire fallback (0 = ~2*log2(n))")
-		out         = flag.String("o", "", "output file (default stdout)")
-		format      = flag.String("format", "text", "output format: text or binary")
-		stats       = flag.Bool("stats", false, "print per-rank statistics to stderr")
-		seq         = flag.Bool("seq", false, "use the sequential copy model instead")
-		shardDir    = flag.String("shard-dir", "", "stream per-rank edge shards to this directory instead of a single output")
-		streamDir   = flag.String("stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir")
-		streamBlock = flag.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
-		metrics     = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
-		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
-		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
-		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full)")
-		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "pagen:", err)
+		os.Exit(1)
+	}
+}
 
+// engineOnly are the flags that configure the parallel engine; -seq
+// rejects them instead of silently ignoring them.
+var engineOnly = []string{
+	"ranks", "transport", "scheme", "hub-prefix", "resolve", "recompute-depth", "stats",
+	"shard-dir", "stream-dir", "stream-block-edges", "metrics",
+	"checkpoint-dir", "checkpoint-every", "checkpoint-keep", "checkpoint-full-every", "resume",
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("pagen", flag.ExitOnError)
+	var (
+		n           = fs.Int64("n", 100000, "number of nodes")
+		x           = fs.Int("x", 4, "edges per new node")
+		p           = fs.Float64("p", 0.5, "direct-attachment probability (0.5 = exact BA)")
+		ranks       = fs.Int("ranks", runtime.GOMAXPROCS(0), "number of parallel ranks, one goroutine each; defaults to GOMAXPROCS (the core count)")
+		transport   = fs.String("transport", "shm", "in-process transport between ranks: shm (by-reference) or local (serialization ablation); output is identical for both")
+		scheme      = fs.String("scheme", "RRP", "partitioning scheme: UCP, LCP, RRP, ExactCP")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		hub         = fs.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); output is identical for every setting")
+		resolve     = fs.String("resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes")
+		rcDepth     = fs.Int("recompute-depth", 0, "recompute replay chain depth cap before wire fallback (0 = ~2*log2(n))")
+		out         = fs.String("o", "", "output file (default stdout)")
+		format      = fs.String("format", "text", "output format: text or binary")
+		stats       = fs.Bool("stats", false, "print per-rank statistics to stderr")
+		seq         = fs.Bool("seq", false, "use the sequential copy model instead")
+		shardDir    = fs.String("shard-dir", "", "stream per-rank edge shards to this directory instead of a single output")
+		streamDir   = fs.String("stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir")
+		streamBlock = fs.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
+		metrics     = fs.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
+		ckptDir     = fs.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
+		ckptN       = fs.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
+		ckptKeep    = fs.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
+		ckptFull    = fs.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full)")
+		resume      = fs.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
+	)
+	fs.Parse(args)
+
+	// Every check runs before generation and before any file exists.
+	if *seq {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && slices.Contains(engineOnly, f.Name) {
+				err = fmt.Errorf("-%s needs the parallel engine (drop -seq)", f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
 	if *ranks < 1 {
-		fatal(fmt.Errorf("-ranks %d: need at least 1 rank", *ranks))
+		return fmt.Errorf("-ranks %d: need at least 1 rank", *ranks)
 	}
 	switch *transport {
 	case "shm", "local":
 	case "tcp":
-		fatal(fmt.Errorf("-transport tcp: pagen runs its ranks in one process; use pa-tcp for the TCP mesh"))
+		return fmt.Errorf("-transport tcp: pagen runs its ranks in one process; use pa-tcp for the TCP mesh")
 	default:
-		fatal(fmt.Errorf("-transport %q: want shm or local", *transport))
+		return fmt.Errorf("-transport %q: want shm or local", *transport)
+	}
+	write := graph.WriteText
+	switch *format {
+	case "text":
+	case "binary":
+		write = graph.WriteBinary
+	default:
+		return fmt.Errorf("-format %q: want text or binary", *format)
 	}
 	ckptOn := *ckptDir != "" || *ckptN != 0 || *resume
-	cfg := pagen.Config{N: *n, X: *x, P: *p, Ranks: *ranks, Workers: *workers,
+	if ckptOn && *shardDir != "" {
+		return fmt.Errorf("checkpointing is incompatible with -shard-dir (snapshots cannot rewind streamed edges; use -stream-dir, whose shards resume)")
+	}
+	if *streamDir != "" {
+		switch {
+		case *shardDir != "":
+			return fmt.Errorf("-stream-dir and -shard-dir are mutually exclusive edge destinations")
+		case *out != "":
+			return fmt.Errorf("-stream-dir writes per-rank shards; it is incompatible with -o (convert with pa-analyze -stream-dir -export-binary)")
+		}
+	}
+	cfg := pagen.Config{N: *n, X: *x, P: *p, Ranks: *ranks,
 		Transport: *transport,
 		Scheme:    *scheme, Seed: *seed, HubPrefix: *hub,
 		Resolve: *resolve, RecomputeDepth: *rcDepth,
@@ -96,37 +152,14 @@ func main() {
 		CheckpointKeep: *ckptKeep, CheckpointFullEvery: *ckptFull, Resume: *resume,
 		StreamDir: *streamDir, StreamBlockEdges: *streamBlock}
 
-	if *seq && *metrics != "" {
-		fatal(fmt.Errorf("-metrics needs the parallel engine (drop -seq)"))
-	}
-	if *seq && *resolve != "wire" {
-		fatal(fmt.Errorf("-resolve needs the parallel engine (drop -seq)"))
-	}
-	if ckptOn {
-		switch {
-		case *seq:
-			fatal(fmt.Errorf("checkpointing needs the parallel engine (drop -seq)"))
-		case *shardDir != "":
-			fatal(fmt.Errorf("checkpointing is incompatible with -shard-dir (snapshots cannot rewind streamed edges; use -stream-dir, whose shards resume)"))
-		}
-	}
-
 	if *streamDir != "" {
-		switch {
-		case *seq:
-			fatal(fmt.Errorf("-stream-dir needs the parallel engine (drop -seq)"))
-		case *shardDir != "":
-			fatal(fmt.Errorf("-stream-dir and -shard-dir are mutually exclusive edge destinations"))
-		case *out != "":
-			fatal(fmt.Errorf("-stream-dir writes per-rank shards; it is incompatible with -o (convert with pa-analyze -stream-dir -export-binary)"))
-		}
 		res, err := pagen.Generate(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *metrics != "" {
 			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		var m, blocks, bytes int64
@@ -137,22 +170,22 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "streamed %d edges (%d blocks, %d bytes) to %s in %v (%.3g edges/s)\n",
 			m, blocks, bytes, *streamDir, res.Elapsed, pagen.EdgesPerSecond(res))
-		return
+		return nil
 	}
 
 	if *shardDir != "" {
 		res, err := pagen.GenerateToShards(cfg, *shardDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *metrics != "" {
 			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d shards to %s in %v (%.3g edges/s)\n",
 			len(res.Ranks), *shardDir, res.Elapsed, pagen.EdgesPerSecond(res))
-		return
+		return nil
 	}
 
 	var g *pagen.Graph
@@ -160,17 +193,17 @@ func main() {
 		var err error
 		g, _, err = pagen.GenerateSeq(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		res, err := pagen.Generate(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		g = res.Graph
 		if *metrics != "" {
 			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		if *stats {
@@ -187,31 +220,18 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
+	if *out == "" {
+		return write(os.Stdout, g)
 	}
-	var err error
-	switch *format {
-	case "text":
-		err = graph.WriteText(w, g)
-	case "binary":
-		err = graph.WriteBinary(w, g)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
+	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	if err := write(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeMetrics exports the run metrics JSON to path ("-" = stderr).
@@ -231,9 +251,4 @@ func writeMetrics(path string, m *pagen.RunMetrics) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pagen:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,9 @@
 package pagen
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"pagen/internal/bench"
@@ -12,11 +14,11 @@ import (
 // each node's edge sequence is generated strictly in order (suspending
 // and resuming on unresolved copy sources). The emitted graph is
 // therefore a pure function of (n, x, p, seed), independent of rank
-// count, worker count, partition scheme and message schedule. These
-// fingerprints were captured from the pre-optimisation single-threaded
-// engine; neither the zero-allocation hot path (compact codec, pooled
-// frames, flat waiter queues, parallel merge) nor the worker-sharded
-// generation loop may move them by a single byte, at any worker count.
+// count, partition scheme and message schedule. These fingerprints
+// were captured from the pre-optimisation single-threaded engine; no
+// engine change may move them by a single byte. Each case also runs at
+// several values of the deprecated Config.Workers, which must be
+// accepted and ignored.
 func TestSingleRankFingerprintPinned(t *testing.T) {
 	cases := []struct {
 		n    int64
@@ -30,11 +32,7 @@ func TestSingleRankFingerprintPinned(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("n=%d/x=%d/seed=%d/workers=%d", c.n, c.x, c.seed, workers), func(t *testing.T) {
-				got, err := bench.FingerprintAt(c.n, c.x, 1, workers, c.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != c.want {
+				if got := generatedHash(t, Config{N: c.n, X: c.x, Seed: c.seed, Ranks: 1, Workers: workers}); got != c.want {
 					t.Fatalf("single-rank edge-stream fingerprint = %016x, want %016x (output no longer byte-identical)", got, c.want)
 				}
 			})
@@ -42,9 +40,27 @@ func TestSingleRankFingerprintPinned(t *testing.T) {
 	}
 }
 
-// Worker-count invariance at every rank count: the order-insensitive
-// multi-rank fingerprint must match the workers=1 fingerprint for the
-// same (n, x, ranks, seed) at 2, 4 and 8 workers per rank.
+// generatedHash generates cfg in memory and returns the order-sensitive
+// FNV-1a hash of its edge list.
+func generatedHash(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	res, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, e := range res.Graph.Edges {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(e.U))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.V))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// The deprecated Config.Workers is accepted and ignored at every rank
+// count: the output bytes at 2, 4 and 8 workers match workers=1 for the
+// same (n, x, ranks, seed).
 func TestWorkerCountInvariantFingerprint(t *testing.T) {
 	const (
 		n    = int64(60_000)
@@ -52,16 +68,9 @@ func TestWorkerCountInvariantFingerprint(t *testing.T) {
 		seed = uint64(11)
 	)
 	for _, ranks := range []int{1, 2, 4} {
-		base, err := bench.FingerprintAt(n, x, ranks, 1, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := generatedHash(t, Config{N: n, X: x, Seed: seed, Ranks: ranks, Workers: 1})
 		for _, workers := range []int{2, 4, 8} {
-			got, err := bench.FingerprintAt(n, x, ranks, workers, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != base {
+			if got := generatedHash(t, Config{N: n, X: x, Seed: seed, Ranks: ranks, Workers: workers}); got != base {
 				t.Fatalf("ranks=%d: fingerprint %016x at workers=%d, want %016x (workers=1)", ranks, got, workers, base)
 			}
 		}

@@ -8,7 +8,7 @@
 //
 // Commands:
 //
-//	submit   -n N -x X [-p P -seed S -scheme K -job-ranks R -job-workers W
+//	submit   -n N -x X [-p P -seed S -scheme K -job-ranks R
 //	         -job-resolve M -job-hub-prefix H -ckpt-every C]   → prints job id
 //	wait     ID [-wait-timeout D]   poll until terminal; fails unless done
 //	show     ID [-field F]          print the job JSON, or one field
@@ -104,7 +104,6 @@ func submit(args []string) {
 		seed      = fs.Uint64("seed", 1, "deterministic seed")
 		scheme    = fs.String("scheme", "", "partition scheme (empty = server default)")
 		ranks     = fs.Int("job-ranks", 0, "rank slots (0 = server default)")
-		workers   = fs.Int("job-workers", 0, "workers per rank (0 = server default)")
 		resolve   = fs.String("job-resolve", "", "resolve mode (empty = server default)")
 		hubPrefix = fs.Int64("job-hub-prefix", 0, "hub-prefix cache size")
 		ckptEvery = fs.Int64("ckpt-every", 0, "checkpoint interval (0 = server default)")
@@ -119,9 +118,6 @@ func submit(args []string) {
 	}
 	if *ranks != 0 {
 		spec["ranks"] = *ranks
-	}
-	if *workers != 0 {
-		spec["workers"] = *workers
 	}
 	if *resolve != "" {
 		spec["resolve"] = *resolve

@@ -18,7 +18,7 @@ import (
 )
 
 // CkptConfig describes the checkpoint-stall sweep: for each cadence in
-// Every, one streamed+checkpointed run at fixed n/x/ranks/workers,
+// Every, one streamed+checkpointed run at fixed n/x/ranks,
 // recording the per-epoch generation pause and background publish time.
 // FullEvery > 1 adds a second row per cadence running base+delta epochs
 // at that full-snapshot cadence. KillSends adds the resume-identity
@@ -26,13 +26,12 @@ import (
 // sends, resumed, and compared edge-for-edge against an uninterrupted
 // reference run.
 type CkptConfig struct {
-	N       int64
-	X       int
-	P       float64 // 0 means 0.5
-	Ranks   int
-	Workers int // 0 means 1
-	Seed    uint64
-	Every   []int64
+	N     int64
+	X     int
+	P     float64 // 0 means 0.5
+	Ranks int
+	Seed  uint64
+	Every []int64
 	// FullEvery is the -checkpoint-full-every setting of the base+delta
 	// rows (0 or 1 skips them).
 	FullEvery int
@@ -95,7 +94,6 @@ type CkptReport struct {
 	Scheme    string  `json:"scheme"`
 	Seed      uint64  `json:"seed"`
 	Ranks     int     `json:"ranks"`
-	Workers   int     `json:"workers"`
 
 	Baseline      []CkptRow     `json:"baseline,omitempty"`
 	BaselineLabel string        `json:"baseline_label,omitempty"`
@@ -111,15 +109,11 @@ func CkptSweep(cfg CkptConfig) (CkptReport, error) {
 	if p == 0 {
 		p = 0.5
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	rep := CkptReport{
 		GoVersion: runtime.Version(),
 		N:         cfg.N, X: cfg.X, P: p,
 		Scheme: "RRP", Seed: cfg.Seed,
-		Ranks: cfg.Ranks, Workers: workers,
+		Ranks: cfg.Ranks,
 	}
 	pr := model.Params{N: cfg.N, X: cfg.X, P: p}
 	if err := pr.Validate(); err != nil {
@@ -134,7 +128,7 @@ func CkptSweep(cfg CkptConfig) (CkptReport, error) {
 	}
 	for _, every := range cfg.Every {
 		for _, fe := range fulls {
-			row, err := ckptRow(cfg, pr, workers, every, fe)
+			row, err := ckptRow(cfg, pr, every, fe)
 			if err != nil {
 				return rep, err
 			}
@@ -142,7 +136,7 @@ func CkptSweep(cfg CkptConfig) (CkptReport, error) {
 		}
 	}
 	if len(cfg.KillSends) > 0 {
-		kills, err := ckptKillLegs(cfg, pr, workers, fulls)
+		kills, err := ckptKillLegs(cfg, pr, fulls)
 		if err != nil {
 			return rep, err
 		}
@@ -152,7 +146,7 @@ func CkptSweep(cfg CkptConfig) (CkptReport, error) {
 }
 
 // ckptRow measures one cadence with one in-process streamed run.
-func ckptRow(cfg CkptConfig, pr model.Params, workers int, every int64, fullEvery int) (CkptRow, error) {
+func ckptRow(cfg CkptConfig, pr model.Params, every int64, fullEvery int) (CkptRow, error) {
 	row := CkptRow{Every: every, FullEvery: fullEvery}
 	dir := filepath.Join(cfg.Dir, fmt.Sprintf("row-e%d-f%d", every, fullEvery))
 	ckDir, shDir := filepath.Join(dir, "ck"), filepath.Join(dir, "shards")
@@ -167,7 +161,7 @@ func ckptRow(cfg CkptConfig, pr model.Params, workers int, every int64, fullEver
 	}
 	start := time.Now()
 	res, err := core.Run(core.Options{
-		Params: pr, Part: part, Seed: cfg.Seed, Workers: workers,
+		Params: pr, Part: part, Seed: cfg.Seed,
 		Checkpoint: &core.CheckpointOptions{Dir: ckDir, Every: every, FullEvery: fullEvery},
 		StreamDir:  shDir,
 	}, false)
@@ -204,7 +198,7 @@ func ckptRow(cfg CkptConfig, pr model.Params, workers int, every int64, fullEver
 // ckptKillLegs runs the resume-identity matrix: each kill budget x each
 // full-snapshot cadence. The reference edge stream comes from one
 // uninterrupted run without checkpointing.
-func ckptKillLegs(cfg CkptConfig, pr model.Params, workers int, fulls []int) ([]CkptKillRow, error) {
+func ckptKillLegs(cfg CkptConfig, pr model.Params, fulls []int) ([]CkptKillRow, error) {
 	part, err := partition.New(partition.KindRRP, cfg.N, cfg.Ranks)
 	if err != nil {
 		return nil, err
@@ -214,7 +208,7 @@ func ckptKillLegs(cfg CkptConfig, pr model.Params, workers int, fulls []int) ([]
 		return nil, err
 	}
 	if _, err := core.Run(core.Options{
-		Params: pr, Part: part, Seed: cfg.Seed, Workers: workers,
+		Params: pr, Part: part, Seed: cfg.Seed,
 		StreamDir: refDir,
 	}, false); err != nil {
 		return nil, fmt.Errorf("bench: reference run: %w", err)
@@ -228,7 +222,7 @@ func ckptKillLegs(cfg CkptConfig, pr model.Params, workers int, fulls []int) ([]
 	leg := 0
 	for _, fe := range fulls {
 		for _, ks := range cfg.KillSends {
-			row, err := ckptKillOnce(cfg, pr, part, workers, every, fe, ks,
+			row, err := ckptKillOnce(cfg, pr, part, every, fe, ks,
 				basePort+leg*2*cfg.Ranks, refDir)
 			if err != nil {
 				return kills, err
@@ -242,7 +236,7 @@ func ckptKillLegs(cfg CkptConfig, pr model.Params, workers int, fulls []int) ([]
 
 // ckptKillOnce kills one TCP cluster mid-run (chaos on the last rank),
 // resumes it, and compares the resumed shard output to the reference.
-func ckptKillOnce(cfg CkptConfig, pr model.Params, part partition.Scheme, workers int,
+func ckptKillOnce(cfg CkptConfig, pr model.Params, part partition.Scheme,
 	every int64, fullEvery int, killSends int64, basePort int, refDir string) (CkptKillRow, error) {
 	row := CkptKillRow{KillAfterSends: killSends, FullEvery: fullEvery}
 	dir := filepath.Join(cfg.Dir, fmt.Sprintf("kill-s%d-f%d", killSends, fullEvery))
@@ -258,7 +252,7 @@ func ckptKillOnce(cfg CkptConfig, pr model.Params, part partition.Scheme, worker
 			addrs[i] = fmt.Sprintf("127.0.0.1:%d", port+i)
 		}
 		opts := core.Options{
-			Params: pr, Part: part, Seed: cfg.Seed, Workers: workers,
+			Params: pr, Part: part, Seed: cfg.Seed,
 			Checkpoint: &core.CheckpointOptions{
 				Dir: ckDir, Every: every, FullEvery: fullEvery, Resume: resume,
 			},
@@ -381,9 +375,9 @@ func WriteCkpt(w io.Writer, rep CkptReport) error {
 		base[[2]int64{b.Every, int64(b.FullEvery)}] = b
 	}
 	if _, err := fmt.Fprintf(w,
-		"ckpt bench: n=%d x=%d ranks=%d workers=%d seed=%d\n"+
+		"ckpt bench: n=%d x=%d ranks=%d seed=%d\n"+
 			"%-10s %-6s %8s %14s %14s %12s %10s %10s\n",
-		rep.N, rep.X, rep.Ranks, rep.Workers, rep.Seed,
+		rep.N, rep.X, rep.Ranks, rep.Seed,
 		"every", "full", "epochs", "pause/epoch", "write/epoch", "bytes/epoch", "wall_ms", "speedup"); err != nil {
 		return err
 	}

@@ -19,19 +19,13 @@ import (
 // (allocations per edge, bytes per frame) rather than the figure-level
 // results of the paper experiments.
 type HotPathPoint struct {
-	Ranks      int    `json:"ranks"`
-	Workers    int    `json:"workers"`
-	PollEvery  int    `json:"poll_every,omitempty"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Transport  string `json:"transport"`
-	N          int64  `json:"n"`
-	X          int    `json:"x"`
-	Edges      int64  `json:"edges"`
-	// Steals / StolenNodes count intra-rank work stealing across all
-	// ranks of the run: spans claimed by a non-owner worker and the
-	// nodes those spans covered.
-	Steals        int64   `json:"steals"`
-	StolenNodes   int64   `json:"stolen_nodes"`
+	Ranks         int     `json:"ranks"`
+	PollEvery     int     `json:"poll_every,omitempty"`
+	GOMAXPROCS    int     `json:"gomaxprocs"`
+	Transport     string  `json:"transport"`
+	N             int64   `json:"n"`
+	X             int     `json:"x"`
+	Edges         int64   `json:"edges"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
 	NsPerEdge     float64 `json:"ns_per_edge"`
 	AllocsPerEdge float64 `json:"allocs_per_edge"`
@@ -42,25 +36,6 @@ type HotPathPoint struct {
 	BytesSent     int64   `json:"bytes_sent"`
 }
 
-// MatrixPoint is one cell of the intra-host ranks × workers efficiency
-// matrix: wall time at the cell's configuration, its speedup over the
-// workers=1 run at the same rank count and transport, and the parallel
-// efficiency (speedup / workers).
-type MatrixPoint struct {
-	Ranks       int     `json:"ranks"`
-	Workers     int     `json:"workers"`
-	Transport   string  `json:"transport"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	N           int64   `json:"n"`
-	X           int     `json:"x"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-	NsPerEdge   float64 `json:"ns_per_edge"`
-	Steals      int64   `json:"steals"`
-	StolenNodes int64   `json:"stolen_nodes"`
-	SpeedupVsW1 float64 `json:"speedup_vs_w1"`
-	Efficiency  float64 `json:"efficiency"`
-}
-
 // HotPathReport is the hot-path trajectory record written to
 // BENCH_hotpath.json so later optimisation PRs can compare against it.
 type HotPathReport struct {
@@ -68,20 +43,16 @@ type HotPathReport struct {
 	GoVersion  string         `json:"go_version"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
 	Points     []HotPathPoint `json:"points"`
-	// Matrix holds the intra-host ranks × workers efficiency sweep when
-	// one was run (pa-hotpath -matrix).
-	Matrix []MatrixPoint `json:"matrix,omitempty"`
 }
 
-// HotPathConfig describes a hot-path sweep: the cross product of rank,
-// worker and poll-interval settings at fixed n and x. Empty Workers
-// means {1}; empty PollEvery means {core default} (recorded as 0 in the
-// point only when a non-default interval was swept).
+// HotPathConfig describes a hot-path sweep: the cross product of rank
+// and poll-interval settings at fixed n and x. Empty PollEvery means
+// {core default} (recorded as 0 in the point only when a non-default
+// interval was swept).
 type HotPathConfig struct {
 	N         int64
 	X         int
 	Ranks     []int
-	Workers   []int
 	PollEvery []int
 	// Transports lists the in-process transports to sweep ("shm",
 	// "local"); empty means {"shm"}, the engine default.
@@ -90,16 +61,15 @@ type HotPathConfig struct {
 }
 
 // HotPath measures the generation hot path at n nodes, x attachments per
-// node, for each rank count in ranks, at one worker per rank. It is the
-// single-axis wrapper around HotPathSweep kept for existing callers.
+// node, for each rank count in ranks. It is the single-axis wrapper around HotPathSweep kept for existing callers.
 func HotPath(n int64, x int, ranks []int, seed uint64) (HotPathReport, error) {
 	return HotPathSweep(HotPathConfig{N: n, X: x, Ranks: ranks, Seed: seed})
 }
 
 // HotPathSweep measures the generation hot path over the cross product
-// of cfg.Ranks × cfg.Workers × cfg.PollEvery. Allocations are measured
-// process wide (runtime mallocs delta across the run), so the numbers
-// include every layer: engine, workers, communicator, codec and
+// of cfg.Ranks × cfg.PollEvery × cfg.Transports. Allocations are
+// measured process wide (runtime mallocs delta across the run), so the
+// numbers include every layer: engine, communicator, codec and
 // transport.
 func HotPathSweep(cfg HotPathConfig) (HotPathReport, error) {
 	rep := HotPathReport{
@@ -109,10 +79,6 @@ func HotPathSweep(cfg HotPathConfig) (HotPathReport, error) {
 	pr := model.Params{N: cfg.N, X: cfg.X, P: 0.5}
 	if err := pr.Validate(); err != nil {
 		return rep, err
-	}
-	workers := cfg.Workers
-	if len(workers) == 0 {
-		workers = []int{1}
 	}
 	polls := cfg.PollEvery
 	if len(polls) == 0 {
@@ -127,25 +93,23 @@ func HotPathSweep(cfg HotPathConfig) (HotPathReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		for _, nw := range workers {
-			for _, pe := range polls {
-				for _, tr := range transports {
-					opts := core.Options{
-						Params: pr, Part: part, Seed: cfg.Seed,
-						Workers: nw, PollEvery: pe, Transport: tr,
-					}
-					pt, err := measureHotPath(opts)
-					if err != nil {
-						return rep, err
-					}
-					pt.Ranks, pt.Workers = p, nw
-					pt.N, pt.X = cfg.N, cfg.X
-					pt.Transport = tr
-					if pe != core.DefaultPollEvery {
-						pt.PollEvery = pe
-					}
-					rep.Points = append(rep.Points, pt)
+		for _, pe := range polls {
+			for _, tr := range transports {
+				opts := core.Options{
+					Params: pr, Part: part, Seed: cfg.Seed,
+					PollEvery: pe, Transport: tr,
 				}
+				pt, err := measureHotPath(opts)
+				if err != nil {
+					return rep, err
+				}
+				pt.Ranks = p
+				pt.N, pt.X = cfg.N, cfg.X
+				pt.Transport = tr
+				if pe != core.DefaultPollEvery {
+					pt.PollEvery = pe
+				}
+				rep.Points = append(rep.Points, pt)
 			}
 		}
 	}
@@ -171,20 +135,16 @@ func measureHotPath(opts core.Options) (HotPathPoint, error) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	var frames, bytes, msgs, edges, steals, stolen int64
+	var frames, bytes, msgs, edges int64
 	for _, st := range res.Ranks {
 		frames += st.Comm.FramesSent
 		bytes += st.Comm.BytesSent
 		msgs += st.Comm.MessagesSent()
 		edges += st.Edges
-		steals += st.Steals
-		stolen += st.StolenNodes
 	}
 	pt := HotPathPoint{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Edges:         edges,
-		Steals:        steals,
-		StolenNodes:   stolen,
 		ElapsedMS:     float64(elapsed.Microseconds()) / 1000,
 		NsPerEdge:     float64(elapsed.Nanoseconds()) / float64(edges),
 		AllocsPerEdge: float64(after.Mallocs-before.Mallocs) / float64(edges),
@@ -199,96 +159,6 @@ func measureHotPath(opts core.Options) (HotPathPoint, error) {
 		pt.BytesPerMsg = float64(bytes) / float64(msgs)
 	}
 	return pt, nil
-}
-
-// MatrixConfig describes an intra-host efficiency sweep: every ranks ×
-// workers × transport cell at fixed n and x, each compared against the
-// workers=1 cell of its rank count and transport.
-type MatrixConfig struct {
-	N          int64
-	X          int
-	Ranks      []int
-	Workers    []int
-	Transports []string
-	Seed       uint64
-}
-
-// HotPathMatrix measures the ranks × workers × transport matrix. The
-// workers list is measured in the given order; each cell's speedup is
-// relative to the workers=1 cell at the same ranks and transport (a
-// workers=1 cell is measured implicitly when the list omits it).
-func HotPathMatrix(cfg MatrixConfig) ([]MatrixPoint, error) {
-	pr := model.Params{N: cfg.N, X: cfg.X, P: 0.5}
-	if err := pr.Validate(); err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if len(workers) == 0 {
-		workers = []int{1, 2, 4}
-	}
-	transports := cfg.Transports
-	if len(transports) == 0 {
-		transports = []string{"shm"}
-	}
-	hasW1 := false
-	for _, w := range workers {
-		if w == 1 {
-			hasW1 = true
-		}
-	}
-	if !hasW1 {
-		workers = append([]int{1}, workers...)
-	}
-	var out []MatrixPoint
-	for _, p := range cfg.Ranks {
-		part, err := partition.New(partition.KindRRP, cfg.N, p)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range transports {
-			var w1ms float64
-			for _, nw := range workers {
-				pt, err := measureHotPath(core.Options{
-					Params: pr, Part: part, Seed: cfg.Seed,
-					Workers: nw, Transport: tr,
-				})
-				if err != nil {
-					return nil, err
-				}
-				mp := MatrixPoint{
-					Ranks: p, Workers: nw, Transport: tr,
-					GOMAXPROCS: pt.GOMAXPROCS,
-					N:          cfg.N, X: cfg.X,
-					ElapsedMS: pt.ElapsedMS, NsPerEdge: pt.NsPerEdge,
-					Steals: pt.Steals, StolenNodes: pt.StolenNodes,
-				}
-				if nw == 1 {
-					w1ms = pt.ElapsedMS
-				}
-				if w1ms > 0 && pt.ElapsedMS > 0 {
-					mp.SpeedupVsW1 = w1ms / pt.ElapsedMS
-					mp.Efficiency = mp.SpeedupVsW1 / float64(nw)
-				}
-				out = append(out, mp)
-			}
-		}
-	}
-	return out, nil
-}
-
-// WriteMatrix prints an efficiency matrix as a TSV table.
-func WriteMatrix(w io.Writer, pts []MatrixPoint) error {
-	if _, err := fmt.Fprintln(w, "ranks\tworkers\ttransport\tgomaxprocs\twall_ms\tns_per_edge\tsteals\tstolen_nodes\tspeedup_vs_w1\tefficiency"); err != nil {
-		return err
-	}
-	for _, pt := range pts {
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%.1f\t%.1f\t%d\t%d\t%.2f\t%.2f\n",
-			pt.Ranks, pt.Workers, pt.Transport, pt.GOMAXPROCS, pt.ElapsedMS,
-			pt.NsPerEdge, pt.Steals, pt.StolenNodes, pt.SpeedupVsW1, pt.Efficiency); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteHotPathJSON writes a hot-path trajectory file: the current report
@@ -325,68 +195,39 @@ func ReadHotPathJSON(path string) (*HotPathReport, error) {
 
 // WriteHotPath prints a hot-path report as a TSV table.
 func WriteHotPath(w io.Writer, rep HotPathReport) error {
-	if _, err := fmt.Fprintln(w, "ranks\tworkers\ttransport\tn\tx\twall_ms\tns_per_edge\tallocs_per_edge\tbytes_per_frame\tmsgs_per_frame\tbytes_per_msg\tsteals"); err != nil {
+	if _, err := fmt.Fprintln(w, "ranks\ttransport\tn\tx\twall_ms\tns_per_edge\tallocs_per_edge\tbytes_per_frame\tmsgs_per_frame\tbytes_per_msg"); err != nil {
 		return err
 	}
 	for _, pt := range rep.Points {
-		workers := pt.Workers
-		if workers == 0 {
-			workers = 1 // reports written before the workers sweep existed
-		}
 		tr := pt.Transport
 		if tr == "" {
 			tr = "local" // reports written before the shm transport existed
 		}
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%d\t%.1f\t%.1f\t%.4f\t%.1f\t%.1f\t%.2f\t%d\n",
-			pt.Ranks, workers, tr, pt.N, pt.X, pt.ElapsedMS, pt.NsPerEdge, pt.AllocsPerEdge,
-			pt.BytesPerFrame, pt.MsgsPerFrame, pt.BytesPerMsg, pt.Steals); err != nil {
+		if _, err := fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%.1f\t%.1f\t%.4f\t%.1f\t%.1f\t%.2f\n",
+			pt.Ranks, tr, pt.N, pt.X, pt.ElapsedMS, pt.NsPerEdge, pt.AllocsPerEdge,
+			pt.BytesPerFrame, pt.MsgsPerFrame, pt.BytesPerMsg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Fingerprint hashes the output graph of a run at one worker per rank —
-// the exactness regression check behind "single-rank output is
-// byte-identical across hot-path optimisations". See FingerprintAt for
-// the hash construction.
+// Fingerprint hashes the output graph of an RRP run — the exactness
+// regression check behind "single-rank output is byte-identical across
+// hot-path optimisations". For ranks == 1 the hash is order-sensitive
+// (FNV-1a over the edge stream, which single-rank runs emit in node
+// order); for ranks > 1 it is an order-insensitive XOR of per-edge
+// hashes, since multi-rank merge order is set by rank, not by time.
 func Fingerprint(n int64, x int, ranks int, seed uint64) (uint64, error) {
-	return FingerprintAt(n, x, ranks, 1, seed)
-}
-
-// FingerprintAt hashes the output graph of a run at an explicit worker
-// count — the regression check behind "output is byte-identical across
-// worker counts". For ranks == 1 the hash is order-sensitive (FNV-1a
-// over the edge stream, which single-rank runs emit in node order at
-// any worker count); for ranks > 1 it is an order-insensitive XOR of
-// per-edge hashes, since multi-rank merge order is set by rank, not by
-// time.
-func FingerprintAt(n int64, x int, ranks, workers int, seed uint64) (uint64, error) {
-	return FingerprintHub(n, x, partition.KindRRP, ranks, workers, seed, 0)
-}
-
-// FingerprintHub hashes the output graph at an explicit partition
-// scheme and hub-prefix cache setting — the regression check behind
-// "output is byte-identical with the cache on, off, or at any size".
-func FingerprintHub(n int64, x int, kind partition.Kind, ranks, workers int, seed uint64, hubPrefix int64) (uint64, error) {
-	return FingerprintResolve(n, x, kind, ranks, workers, seed, hubPrefix, core.ResolveWire, 0)
-}
-
-// FingerprintResolve hashes the output graph at an explicit resolve
-// mode and recompute depth cap — the regression check behind
-// "recompute mode is byte-identical to the wire protocol".
-func FingerprintResolve(n int64, x int, kind partition.Kind, ranks, workers int, seed uint64,
-	hubPrefix int64, mode core.ResolveMode, depth int) (uint64, error) {
 	pr := model.Params{N: n, X: x, P: 0.5}
 	if err := pr.Validate(); err != nil {
 		return 0, err
 	}
-	part, err := partition.New(kind, n, ranks)
+	part, err := partition.New(partition.KindRRP, n, ranks)
 	if err != nil {
 		return 0, err
 	}
-	res, err := core.Run(core.Options{Params: pr, Part: part, Seed: seed, Workers: workers,
-		HubPrefix: hubPrefix, Resolve: mode, RecomputeDepth: depth}, false)
+	res, err := core.Run(core.Options{Params: pr, Part: part, Seed: seed}, false)
 	if err != nil {
 		return 0, err
 	}

@@ -67,7 +67,6 @@ type HubCacheConfig struct {
 	X           int
 	P           float64 // 0 means 0.5
 	Ranks       []int
-	Workers     int // 0 means 1
 	Seed        uint64
 	HubPrefixes []int64 // cache-on settings; 0 = auto-sized
 }
@@ -99,7 +98,7 @@ func HubCacheSweep(cfg HubCacheConfig) (HubCacheReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		off, err := hubCachePoint(pr, part, cfg.Seed, cfg.Workers, -1)
+		off, err := hubCachePoint(pr, part, cfg.Seed, -1)
 		if err != nil {
 			return rep, err
 		}
@@ -108,7 +107,7 @@ func HubCacheSweep(cfg HubCacheConfig) (HubCacheReport, error) {
 			if hp < 0 {
 				continue // the off baseline is always measured
 			}
-			on, err := hubCachePoint(pr, part, cfg.Seed, cfg.Workers, hp)
+			on, err := hubCachePoint(pr, part, cfg.Seed, hp)
 			if err != nil {
 				return rep, err
 			}
@@ -133,10 +132,10 @@ func HubCacheSweep(cfg HubCacheConfig) (HubCacheReport, error) {
 	return rep, nil
 }
 
-func hubCachePoint(pr model.Params, part partition.Scheme, seed uint64, workers int, hub int64) (HubCachePoint, error) {
+func hubCachePoint(pr model.Params, part partition.Scheme, seed uint64, hub int64) (HubCachePoint, error) {
 	res, err := core.Run(core.Options{
 		Params: pr, Part: part, Seed: seed,
-		Workers: workers, HubPrefix: hub,
+		HubPrefix: hub,
 	}, false)
 	if err != nil {
 		return HubCachePoint{}, err

@@ -59,13 +59,12 @@ type RecomputeReport struct {
 // a wire baseline (hub off), a hub-cache run (auto H), and a recompute
 // run (hub off — replay replaces both the round trips and the replica).
 type RecomputeConfig struct {
-	N       int64
-	X       int
-	P       float64 // 0 means 0.5
-	Ranks   []int
-	Workers int // 0 means 1
-	Seed    uint64
-	Depth   int // recompute depth cap; 0 = auto
+	N     int64
+	X     int
+	P     float64 // 0 means 0.5
+	Ranks []int
+	Seed  uint64
+	Depth int // recompute depth cap; 0 = auto
 }
 
 // RecomputeSweep runs the resolve-mode experiment. Message and byte
@@ -104,7 +103,7 @@ func RecomputeSweep(cfg RecomputeConfig) (RecomputeReport, error) {
 			{core.ResolveRecompute, -1, "recompute"},
 		}
 		for _, r := range runs {
-			pt, err := recomputePoint(pr, part, cfg.Seed, cfg.Workers, r.hub, r.mode, cfg.Depth)
+			pt, err := recomputePoint(pr, part, cfg.Seed, r.hub, r.mode, cfg.Depth)
 			if err != nil {
 				return rep, err
 			}
@@ -115,13 +114,13 @@ func RecomputeSweep(cfg RecomputeConfig) (RecomputeReport, error) {
 	return rep, nil
 }
 
-func recomputePoint(pr model.Params, part partition.Scheme, seed uint64, workers int,
+func recomputePoint(pr model.Params, part partition.Scheme, seed uint64,
 	hub int64, mode core.ResolveMode, depth int) (RecomputePoint, error) {
 	start := time.Now()
 	res, err := core.Run(core.Options{
 		Params: pr, Part: part, Seed: seed,
-		Workers: workers, HubPrefix: hub,
-		Resolve: mode, RecomputeDepth: depth,
+		HubPrefix: hub,
+		Resolve:   mode, RecomputeDepth: depth,
 	}, false)
 	if err != nil {
 		return RecomputePoint{}, err

@@ -24,7 +24,6 @@ type StreamConfig struct {
 	X          int
 	P          float64 // 0 means 0.5
 	Ranks      int
-	Workers    int // 0 means 1
 	Seed       uint64
 	Dir        string // shard directory (must exist or be creatable)
 	BlockEdges int    // records per flushed block; 0 = esink default
@@ -45,7 +44,6 @@ type StreamReport struct {
 	Scheme    string  `json:"scheme"`
 	Seed      uint64  `json:"seed"`
 	Ranks     int     `json:"ranks"`
-	Workers   int     `json:"workers"`
 
 	Edges       int64   `json:"edges"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
@@ -67,15 +65,11 @@ func StreamBench(cfg StreamConfig) (StreamReport, error) {
 	if p == 0 {
 		p = 0.5
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	rep := StreamReport{
 		GoVersion: runtime.Version(),
 		N:         cfg.N, X: cfg.X, P: p,
 		Scheme: "RRP", Seed: cfg.Seed,
-		Ranks: cfg.Ranks, Workers: workers,
+		Ranks:      cfg.Ranks,
 		BlockEdges: cfg.BlockEdges,
 	}
 	pr := model.Params{N: cfg.N, X: cfg.X, P: p}
@@ -91,7 +85,7 @@ func StreamBench(cfg StreamConfig) (StreamReport, error) {
 	}
 	start := time.Now()
 	res, err := core.Run(core.Options{
-		Params: pr, Part: part, Seed: cfg.Seed, Workers: workers,
+		Params: pr, Part: part, Seed: cfg.Seed,
 		StreamDir: cfg.Dir, StreamBlockEdges: cfg.BlockEdges,
 	}, false)
 	elapsed := time.Since(start)
@@ -168,13 +162,13 @@ func WriteStreamJSON(w io.Writer, rep StreamReport) error {
 // WriteStream prints the streamed-run benchmark as a human summary.
 func WriteStream(w io.Writer, rep StreamReport) error {
 	_, err := fmt.Fprintf(w,
-		"stream bench: n=%d x=%d ranks=%d workers=%d seed=%d\n"+
+		"stream bench: n=%d x=%d ranks=%d seed=%d\n"+
 			"  edges         %d\n"+
 			"  elapsed       %.1f ms (%.3g edges/s)\n"+
 			"  shard bytes   %d (%.2f B/edge, %d blocks, %d fsyncs)\n"+
 			"  peak RSS      %d bytes\n"+
 			"  in-mem est    %d bytes\n",
-		rep.N, rep.X, rep.Ranks, rep.Workers, rep.Seed,
+		rep.N, rep.X, rep.Ranks, rep.Seed,
 		rep.Edges, rep.ElapsedMS, rep.EdgesPerSec,
 		rep.SinkBytes, rep.BytesPerEdge, rep.SinkBlocks, rep.SinkFsyncs,
 		rep.PeakRSSBytes, rep.InMemoryEstBytes)

@@ -11,7 +11,7 @@
 //
 // Snapshots come in two kinds. A full snapshot carries the entire F
 // table. A delta snapshot carries only the F ranges dirtied since its
-// base epoch plus full copies of the (small, quiescent-time) worker and
+// base epoch plus full copies of the (small, quiescent-time) 'W' and
 // sink sections; restoring a delta replays its base+delta chain back to
 // the nearest full snapshot. Encoding is buffer-based — Encoder reuses
 // one scratch buffer across epochs so a steady checkpoint cadence
@@ -41,7 +41,7 @@ const Magic = "PAGENCK1"
 // other value: the format carries no compat shims, and resuming from a
 // mis-parsed snapshot would silently corrupt the output graph.
 // Version 2 added the requester-side coalescing chains (Remote) to the
-// worker sections; version 3 added the resolve mode and recompute depth
+// 'W' sections; version 3 added the resolve mode and recompute depth
 // cap to the meta section so a resume cannot silently change resolver
 // settings mid-run; version 4 added the optional sink-mark section 'K'
 // recording the streaming edge sink's durable shard position at the
@@ -109,16 +109,18 @@ type WaiterRecord struct {
 	E    uint16
 }
 
-// WorkerState is one worker shard's suspended nodes, waiter queues and
-// request-coalescing chains at the cut, tagged with the block [Lo, Hi)
-// the writing run used. A resuming run redistributes the records by its
-// own worker layout, so restoring at a different worker count is exact.
+// WorkerState is the suspended nodes, waiter queues and
+// request-coalescing chains of the local node block [Lo, Hi) at the cut
+// — one 'W' section. Current writers emit one section covering the
+// whole rank; snapshots from older engines, whose ranks ran several
+// worker goroutines, carry one section per goroutine's block. A resume
+// merges every section into the rank's single tables.
 type WorkerState struct {
 	Lo, Hi  int64
 	Susp    []SuspRecord
 	Waiters []WaiterRecord
 	// Remote holds the hub cache's request-coalescing chains: nodes of
-	// this worker waiting on one in-flight request per remote slot,
+	// this block waiting on one in-flight request per remote slot,
 	// chain by chain in FIFO order. The first record of each chain is
 	// the primary requester — the node the owner's answer will be
 	// addressed to — which is what lets a resume rebuild the chains
@@ -277,7 +279,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 		}
 	}
 
-	// 'W' (repeated): one section per worker shard of the writing run.
+	// 'W' (repeated): one section per node block of the writing run.
 	for _, ws := range s.Workers {
 		b = append(b, 'W')
 		b = binary.AppendUvarint(b, uint64(ws.Lo))
@@ -324,7 +326,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 }
 
 // appendWaiterRecords appends one length-prefixed list of waiter
-// records — the shared shape of a worker's Waiters and Remote sections.
+// records — the shared shape of a 'W' section's Waiters and Remote lists.
 func appendWaiterRecords(b []byte, rs []WaiterRecord) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for _, wr := range rs {
@@ -741,7 +743,7 @@ func parseWorker(r *reader) (WorkerState, error) {
 }
 
 // parseWaiterRecords reads one length-prefixed waiter-record list, the
-// shared shape of the Waiters and Remote worker sections. It always
+// shared shape of the Waiters and Remote lists of a 'W' section. It always
 // returns a non-nil slice so round-tripped snapshots compare equal.
 func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
 	n, err := r.uvarint()

@@ -7,10 +7,8 @@
 //
 // Concurrency: the send side is safe for concurrent use — each
 // destination's buffer is an independently locked stripe and the
-// counters are atomic — so a rank's worker goroutines share one Comm.
-// The receive side (Poll, Wait, DecodeFrame) is single-consumer: exactly
-// one goroutine per rank (the dispatcher, or the lone worker) drains the
-// transport.
+// counters are atomic. The receive side (Poll, Wait) is
+// single-consumer: exactly one goroutine per rank drains the transport.
 //
 // Flush discipline (engine responsibility, supported here): the paper's
 // Section 3.5.2 deadlock rule — resolved messages must leave the buffer
@@ -205,30 +203,6 @@ func (c *Comm) Send(to int, m msg.Message) error {
 	return err
 }
 
-// SendBatch buffers every message for destination to under one lock
-// acquisition — the merge path for per-worker send scratch. Capacity
-// flushes happen at the same message boundaries Send would flush at, so
-// framing (and the BufferCap ablation) is independent of batching.
-func (c *Comm) SendBatch(to int, ms []msg.Message) error {
-	if to < 0 || to >= len(c.stripes) {
-		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.stripes))
-	}
-	s := &c.stripes[to]
-	s.mu.Lock()
-	for _, m := range ms {
-		c.count(to, m)
-		s.buf = append(s.buf, m)
-		if len(s.buf) >= c.cap {
-			if err := c.flushLocked(to, s); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-	}
-	s.mu.Unlock()
-	return nil
-}
-
 // SendNow sends m immediately, flushing anything already buffered for the
 // destination first so per-pair ordering is preserved. Used for control
 // messages that must not linger in a buffer.
@@ -392,7 +366,7 @@ func (c *Comm) noteDrain() {
 
 // Poll drains every frame that is immediately available, returning the
 // decoded messages (nil if none). The returned slice is reused by the
-// next Poll/Wait/DecodeFrame call. Single consumer.
+// next Poll/Wait call. Single consumer.
 func (c *Comm) Poll() ([]msg.Message, error) {
 	c.resetScratch()
 	for {
@@ -417,23 +391,13 @@ func (c *Comm) Poll() ([]msg.Message, error) {
 
 // Wait blocks for at least one frame, then also drains whatever else is
 // immediately available, returning the decoded messages. The returned
-// slice is reused by the next Poll/Wait/DecodeFrame call. Single consumer.
+// slice is reused by the next Poll/Wait call. Single consumer.
 func (c *Comm) Wait() ([]msg.Message, error) {
 	f, err := c.tr.Recv()
 	if err != nil {
 		return nil, err
 	}
-	return c.DecodeFrame(f)
-}
-
-// DecodeFrame decodes a frame the consumer received directly from the
-// transport (the dispatcher's requestable-receive path), then also
-// drains whatever else is immediately available — the same batch shape
-// Wait produces. The returned slice is reused by the next
-// Poll/Wait/DecodeFrame call. Single consumer.
-func (c *Comm) DecodeFrame(f transport.Frame) ([]msg.Message, error) {
 	c.resetScratch()
-	var err error
 	c.scratch, err = c.decode(c.scratch, f)
 	if err != nil {
 		return nil, err

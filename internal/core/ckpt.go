@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pagen/internal/ckpt"
@@ -48,15 +46,6 @@ type CheckpointOptions struct {
 // DefaultCheckpointKeep is the default number of retained full epochs.
 const DefaultCheckpointKeep = 2
 
-// Checkpoint-epoch phases (ckptRun.phase, atomic: workers read it at
-// poll points, the coordinator goroutine writes it).
-const (
-	ckIdle int32 = iota
-	// ckPaused: an epoch is active — generation is paused, the rank
-	// keeps serving the resolution cascade until globally quiescent.
-	ckPaused
-)
-
 // ckptMaxRounds bounds the quiescence-probe rounds per epoch. The
 // protocol converges once in-flight traffic drains, so hitting the
 // bound means a protocol bug, not a slow network; erroring out beats
@@ -69,25 +58,20 @@ const ckptMaxRounds = 10000
 // predictable load+branch.
 const ckptDirtyShift = 12
 
-// errAborted reports that the engine aborted while a receive was
-// blocked; the first real error is latched in engine.firstErr.
-var errAborted = errors.New("core: engine aborted")
-
-// ckptRun is the per-rank state of the checkpoint protocol. All fields
-// except the atomics belong to the rank's coordinator goroutine (the
-// dispatcher, or the single-worker loop).
+// ckptRun is the per-rank state of the checkpoint protocol, owned by
+// the rank goroutine (only the background writer runs elsewhere).
 type ckptRun struct {
 	dir       string
 	every     int64
 	keep      int
 	fullEvery int
-	// kick wakes a dispatcher blocked on the transport when a worker
-	// crosses the trigger threshold or parks during an epoch.
-	kick chan struct{}
 
-	phase       int32 // atomic: ckIdle / ckPaused
-	initiated   int64 // atomic: nodes whose generation has started
-	nextTrigger int64 // atomic: metric value that opens the next epoch
+	// paused is set while an epoch is active: generation is paused and
+	// the rank keeps serving the resolution cascade until globally
+	// quiescent.
+	paused      bool
+	initiated   int64 // nodes whose generation has started (rank 0)
+	nextTrigger int64 // metric value that opens the next epoch
 
 	epochNext int64 // next epoch number to open (rank 0)
 	epoch     int64 // epoch currently active (all ranks)
@@ -102,15 +86,24 @@ type ckptRun struct {
 	// fsync, rename and prune all run there, off the pause path.
 	writer *ckptWriter
 
-	// votes tallies the asynchronous per-epoch commit votes (rank 0
-	// only). An entry exists from the first vote until all p arrive;
-	// rank 0 defers the stop broadcast while any tally is open so an
-	// abandon always precedes stop on every channel.
-	votes map[int64]*ckptVoteState
-	// voted0 remembers epochs this rank itself voted 0 on (capture
-	// skipped), so the arriving abandon does not uncount an epoch that
-	// was never counted.
-	voted0 map[int64]bool
+	// Cut markers and the commit vote. Epochs never overlap: rank 0
+	// opens the next one only after the current tally closes. markers
+	// counts the cut markers received from the other ranks this epoch;
+	// a rank votes once it has captured and heard all p-1 of them, so
+	// no marker is in flight anywhere once the tally closes.
+	markers int
+	voteDue bool // captured, vote not yet sent
+	voteOK  bool // this rank's vote for the current epoch
+	// skipped records that this rank voted 0 (capture skipped), so the
+	// arriving abandon does not uncount an epoch that was never counted.
+	skipped bool
+	// tallyOpen, tallyN and tallyBad are rank 0's count of the current
+	// epoch's votes, open from the cut until all p arrive. Rank 0 defers
+	// the stop broadcast while a tally is open so an abandon always
+	// precedes stop on every channel.
+	tallyOpen bool
+	tallyN    int
+	tallyBad  bool
 
 	// Quiescence-detection state. Rank 0 collects per-rank (sent, recv)
 	// data-message counters round by round; two consecutive identical,
@@ -130,19 +123,10 @@ type ckptRun struct {
 	held []msg.Message
 
 	pauseStart time.Time
-	// scanPush/scanPop hold the first pass of the two-pass inbox scan
-	// that establishes local quiescence.
-	scanPush, scanPop []int64
 
 	// metrics (pause side; the write side lives in the writer).
 	epochs, failed, pauseNanos int64
 	pauseHist                  obs.Histogram
-}
-
-// ckptVoteState is one epoch's open vote tally (rank 0).
-type ckptVoteState struct {
-	n   int
-	bad bool
 }
 
 // ckptCapture is one pooled capture buffer: the snapshot struct plus
@@ -154,11 +138,11 @@ type ckptCapture struct {
 	snap ckpt.Snapshot
 	// f backs snap.F for full captures; dvals is the flat value store
 	// the delta ranges subslice.
-	f       []int64
-	dvals   []int64
-	ranges  []ckpt.DeltaRange
-	workers []ckpt.WorkerState
-	out     []ckpt.OutboundBatch
+	f        []int64
+	dvals    []int64
+	ranges   []ckpt.DeltaRange
+	sections []ckpt.WorkerState
+	out      []ckpt.OutboundBatch
 }
 
 // ckptWriteReq is one background-writer work item: publish a capture
@@ -206,7 +190,7 @@ func newCkptWriter(dir string, rank, keep int, stream *esink.Writer) *ckptWriter
 		// writer frees a buffer waits at the cut — back-pressure that
 		// shows up honestly in the pause histogram. The channel is
 		// deeper than the capture pool so abandon-removes never block
-		// the coordinator.
+		// the rank goroutine.
 		ch:   make(chan ckptWriteReq, 8),
 		free: make(chan *ckptCapture, 2),
 		done: make(chan struct{}),
@@ -284,51 +268,12 @@ func (bw *ckptWriter) shutdown() {
 	<-bw.done
 }
 
-// kickNow wakes the dispatcher without blocking (the channel holds one
-// pending kick; more carry no extra information).
-func (ck *ckptRun) kickNow() {
-	select {
-	case ck.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ckptNoteInit counts one initiated node and kicks the dispatcher when
-// the count alone crosses the trigger (the authoritative check, which
-// also includes received-message counts, runs on the dispatcher).
-func (e *engine) ckptNoteInit() {
-	ck := e.ck
-	v := atomic.AddInt64(&ck.initiated, 1)
-	if v >= atomic.LoadInt64(&ck.nextTrigger) && atomic.LoadInt32(&ck.phase) == ckIdle {
-		ck.kickNow()
-	}
-}
-
 // ckptMetric is rank 0's monotone progress measure: initiated local
 // nodes plus received data messages. The received term keeps epochs
 // firing after rank 0 finishes generating while other ranks still run.
 func (e *engine) ckptMetric() int64 {
 	c := e.cm.Counters()
-	return atomic.LoadInt64(&e.ck.initiated) + c.RequestsRecv + c.ResolvedRecv
-}
-
-// ckptMarkDirty records that flat slot s changed since the last capture
-// (delta-epoch dirty tracking; no-op unless delta epochs are enabled).
-// The bitmap word is only written while still clear, so the hot path's
-// steady state is one cached load. Cross-worker stores of the same word
-// are idempotent (both write 1) and the quiescent cut's capture is
-// ordered after every worker's park, so the bits are visible there.
-func (e *engine) ckptMarkDirty(s int64) {
-	w := &e.ckDirty[s>>ckptDirtyShift]
-	if e.concurrent {
-		if atomic.LoadUint32(w) == 0 {
-			atomic.StoreUint32(w, 1)
-		}
-		return
-	}
-	if *w == 0 {
-		*w = 1
-	}
+	return e.ck.initiated + c.RequestsRecv + c.ResolvedRecv
 }
 
 // ckptBegin (rank 0) opens a new epoch: pause generation everywhere,
@@ -338,16 +283,17 @@ func (e *engine) ckptBegin() error {
 	ck.epoch = ck.epochNext
 	ck.epochNext++
 	if ck.every > 0 {
-		atomic.StoreInt64(&ck.nextTrigger, e.ckptMetric()+ck.every)
+		ck.nextTrigger = e.ckptMetric() + ck.every
 	}
 	ck.round = 1
 	ck.pendingRound = 1
 	ck.reportedRound = 0
 	ck.cutSent = false
+	ck.markers = 0
 	ck.cur = make(map[int][2]int64, e.p)
 	ck.prev = nil
 	ck.pauseStart = time.Now()
-	atomic.StoreInt32(&ck.phase, ckPaused)
+	ck.paused = true
 	for r := 1; r < e.p; r++ {
 		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptBegin, 1, ck.epoch, 0)); err != nil {
 			return err
@@ -368,17 +314,18 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		if e.rank == 0 {
 			return fmt.Errorf("core: rank 0 received checkpoint begin")
 		}
-		if atomic.LoadInt32(&ck.phase) != ckIdle {
+		if ck.paused {
 			// The cut executes at its stream marker (see CkptCut), so a
 			// begin can only find the epoch still open if the protocol
 			// itself broke.
 			return fmt.Errorf("core: checkpoint begin for epoch %d while epoch %d active", m.K, ck.epoch)
 		}
 		ck.epoch = m.K
+		ck.markers = 0
 		ck.pendingRound = int(m.L)
 		ck.reportedRound = 0
 		ck.pauseStart = time.Now()
-		atomic.StoreInt32(&ck.phase, ckPaused)
+		ck.paused = true
 	case msg.CkptProbe:
 		ck.pendingRound = int(m.L)
 	case msg.CkptReport:
@@ -390,18 +337,25 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		}
 		ck.cur[int(m.T)] = [2]int64{m.K, m.V}
 	case msg.CkptCut:
-		// Execute the cut at its marker, in stream order. With the
-		// asynchronous commit, rank 0 resumes generating right after
-		// its own capture, so data sent post-cut can share a frame with
-		// this marker; deferring the cut past the batch (the old
-		// cutAsked path) would push that data to the worker inboxes
-		// first, racing the capture against live workers and leaking
-		// post-cut effects into the epoch. Everything before the marker
-		// is fully drained — that is what the quiescence rounds proved
-		// — so this rank is quiescent here, exactly as the cut
-		// requires, and data later in the frame still sits unrouted in
-		// the deliver pass's route buffers until after the capture.
-		return e.ckptCut()
+		// Chandy–Lamport markers: rank 0 sends one to every rank when it
+		// declares the cut, and every other rank sends one to each peer
+		// as it captures, ahead of any post-cut traffic on that channel.
+		// A rank captures at the first marker it meets, in stream order,
+		// so no post-cut message — from rank 0 or from a peer that
+		// captured earlier — is handled before this rank's capture.
+		// Everything before the marker is fully drained (that is what
+		// the quiescence rounds proved), so the rank is quiescent here,
+		// exactly as the cut requires.
+		if m.K != ck.epoch {
+			return fmt.Errorf("core: checkpoint cut for epoch %d during epoch %d", m.K, ck.epoch)
+		}
+		if int(m.T) != e.rank {
+			ck.markers++
+		}
+		if ck.paused {
+			return e.ckptCut()
+		}
+		return e.ckptMaybeVote()
 	case msg.CkptVote:
 		if e.rank != 0 {
 			return fmt.Errorf("core: rank %d received checkpoint vote", e.rank)
@@ -418,30 +372,44 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 	return nil
 }
 
-// ckptRecordVote (rank 0) tallies one rank's asynchronous commit vote
-// for an epoch. When the last vote lands the epoch either stands on
-// every rank or is abandoned everywhere: a single abandon broadcast,
-// ordered before any later stop on each channel, keeps the ranks'
-// epoch accounting aligned without a blocking collective in any cut.
-func (e *engine) ckptRecordVote(epoch int64, ok bool) error {
+// ckptMaybeVote sends this rank's commit vote for the current epoch
+// once it has captured and received the cut marker of every peer.
+func (e *engine) ckptMaybeVote() error {
 	ck := e.ck
-	if ck.votes == nil {
-		ck.votes = make(map[int64]*ckptVoteState)
-	}
-	st := ck.votes[epoch]
-	if st == nil {
-		st = &ckptVoteState{}
-		ck.votes[epoch] = st
-	}
-	st.n++
-	if !ok {
-		st.bad = true
-	}
-	if st.n < e.p {
+	if !ck.voteDue || ck.markers < e.p-1 {
 		return nil
 	}
-	delete(ck.votes, epoch)
-	if st.bad {
+	ck.voteDue = false
+	if e.rank == 0 {
+		return e.ckptRecordVote(ck.epoch, ck.voteOK)
+	}
+	v := int64(0)
+	if ck.voteOK {
+		v = 1
+	}
+	return e.cm.SendNow(0, msg.Ckpt(e.rank, msg.CkptVote, 0, ck.epoch, v))
+}
+
+// ckptRecordVote (rank 0) tallies one rank's asynchronous commit vote
+// for the current epoch. When the last vote lands the epoch either
+// stands on every rank or is abandoned everywhere: a single abandon
+// broadcast, ordered before any later stop on each channel, keeps the
+// ranks' epoch accounting aligned without a blocking collective in any
+// cut.
+func (e *engine) ckptRecordVote(epoch int64, ok bool) error {
+	ck := e.ck
+	if !ck.tallyOpen || epoch != ck.epoch {
+		return fmt.Errorf("core: checkpoint vote for epoch %d outside its tally (epoch %d)", epoch, ck.epoch)
+	}
+	ck.tallyN++
+	if !ok {
+		ck.tallyBad = true
+	}
+	if ck.tallyN < e.p {
+		return nil
+	}
+	ck.tallyOpen = false
+	if ck.tallyBad {
 		for r := 1; r < e.p; r++ {
 			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptAbandon, 0, epoch, 0)); err != nil {
 				return err
@@ -462,8 +430,7 @@ func (e *engine) ckptAbandon(epoch int64) {
 	ck := e.ck
 	ck.failed++
 	ck.forceFull = true
-	if ck.voted0[epoch] {
-		delete(ck.voted0, epoch)
+	if ck.skipped {
 		return
 	}
 	ck.epochs--
@@ -481,26 +448,15 @@ func (e *engine) ckptBalance() (sent, recv int64) {
 	c := e.cm.Counters()
 	sent = c.RequestsSent + c.ResolvedSent + c.PublishSent
 	recv = c.RequestsRecv + c.ResolvedRecv + c.PublishRecv
-	done := false
-	if e.concurrent {
-		// Concurrent done reports always travel the wire (rank 0
-		// self-sends), so the latch counts for every rank.
-		done = atomic.LoadInt32(&e.doneSent) == 1
-		if done {
-			sent++
-		}
-	} else if e.doneFlag {
-		done = true
-		if e.rank != 0 {
-			// Single-worker rank 0 short-circuits its own report; only
-			// other ranks' reports travel.
-			sent++
-		}
+	if e.doneFlag && e.rank != 0 {
+		// Rank 0 short-circuits its own report; only other ranks'
+		// reports travel.
+		sent++
 	}
 	if e.hub != nil {
 		// Fences go out with the done report — to every peer, rank 0's
 		// included — and can be in flight while later epochs quiesce.
-		if done {
+		if e.doneFlag {
 			sent += int64(e.p - 1)
 		}
 		recv += int64(e.fencesRecv)
@@ -509,40 +465,10 @@ func (e *engine) ckptBalance() (sent, recv int64) {
 	return sent, recv
 }
 
-// ckptQuiescentNow reports whether this rank is locally quiescent: every
-// worker parked on an empty inbox, with no push or pop in between two
-// scans (the counters are monotone, so equality across both passes
-// proves no message moved while we looked). The single-worker loop is
-// quiescent by construction whenever it runs the protocol.
-func (e *engine) ckptQuiescentNow() bool {
-	if !e.concurrent {
-		return true
-	}
-	ck := e.ck
-	if len(ck.scanPush) < e.nw {
-		ck.scanPush = make([]int64, e.nw)
-		ck.scanPop = make([]int64, e.nw)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i, w := range e.workers {
-			parked, empty, pushes, pops := w.inbox.scanState()
-			if !parked || !empty {
-				return false
-			}
-			if pass == 0 {
-				ck.scanPush[i], ck.scanPop[i] = pushes, pops
-			} else if ck.scanPush[i] != pushes || ck.scanPop[i] != pops {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ckptReport sends this rank's counter report for the pending round.
 // Rank 0 reports to itself over the wire rather than recording directly:
 // every round advance then costs a real receive, which keeps the
-// coordinator returning to the transport between rounds so in-flight
+// rank returning to the transport between rounds so in-flight
 // traffic (the very thing the rounds are waiting out) gets delivered
 // instead of the rounds spinning to the bound against a stale balance.
 func (e *engine) ckptReport() error {
@@ -584,15 +510,17 @@ func (e *engine) ckptEvaluate() (bool, error) {
 		return false, nil
 	}
 	if ck.round >= 2 && ck.balancedStable(e.p) {
-		// Global quiescence. The cut goes to every rank including rank
-		// 0 itself (a transport self-send) so all ranks process it
-		// uniformly on their receive path.
+		// Global quiescence. Rank 0's cut markers go to every rank,
+		// itself included (a transport self-send, so all ranks capture
+		// on their receive path); the other ranks send theirs as they
+		// capture.
 		for r := 0; r < e.p; r++ {
 			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, ck.round, ck.epoch, 0)); err != nil {
 				return false, err
 			}
 		}
 		ck.cutSent = true
+		ck.tallyOpen, ck.tallyN, ck.tallyBad = true, 0, false
 		return true, nil
 	}
 	if ck.round >= ckptMaxRounds {
@@ -615,26 +543,25 @@ func (e *engine) ckptEvaluate() (bool, error) {
 // ckptStep runs as much of the checkpoint protocol as can proceed
 // without receiving: open a due epoch (rank 0), report quiescence,
 // evaluate rounds. The cut itself runs from the receive path, at its
-// stream marker (see CkptCut in ckptOnMsg). The coordinator calls it
+// stream marker (see CkptCut in ckptOnMsg). The rank calls it
 // once per receive-loop iteration.
 func (e *engine) ckptStep() error {
 	ck := e.ck
 	if ck == nil {
 		return nil
 	}
-	if e.rank == 0 && ck.every > 0 && !e.stopped &&
-		atomic.LoadInt32(&ck.phase) == ckIdle &&
-		e.ckptMetric() >= atomic.LoadInt64(&ck.nextTrigger) {
+	if e.rank == 0 && ck.every > 0 && !e.stopped && !ck.paused && !ck.tallyOpen &&
+		e.ckptMetric() >= ck.nextTrigger {
 		if err := e.ckptBegin(); err != nil {
 			return err
 		}
 	}
-	if atomic.LoadInt32(&ck.phase) != ckPaused {
+	if !ck.paused {
 		return nil
 	}
 	for {
 		progressed := false
-		if ck.reportedRound < ck.pendingRound && e.ckptQuiescentNow() {
+		if ck.reportedRound < ck.pendingRound {
 			if err := e.ckptReport(); err != nil {
 				return err
 			}
@@ -678,24 +605,22 @@ func (e *engine) ckptFlushHeld() error {
 	}
 	held := ck.held
 	ck.held = nil
-	if e.concurrent {
-		return e.deliver(held)
-	}
 	for _, m := range held {
-		if err := e.handleSingle(m); err != nil {
+		if err := e.handle(m); err != nil {
 			return err
 		}
 	}
-	if w := e.workers[0]; w.err != nil {
-		return w.err
+	if e.err != nil {
+		return e.err
 	}
 	return e.cm.FlushAll()
 }
 
 // ckptCut executes a declared cut: capture the rank's mutable state
-// into a pooled buffer, send the asynchronous commit vote, hand the
-// capture to the background writer, and resume generation. Every rank
-// is globally quiescent here, so the captures form a consistent cut.
+// into a pooled buffer, hand it to the background writer, send the
+// peers this rank's cut markers, vote (once the peers' markers are all
+// in), and resume generation. Every rank is globally quiescent here, so the
+// captures form a consistent cut.
 // The pause ends when capture does — encode, CRC, fsync, rename and
 // prune all happen in the writer, so ckpt_pause_nanos excludes write
 // time by construction.
@@ -742,40 +667,33 @@ func (e *engine) ckptCut() error {
 		// the write in the writer's FIFO.
 		ck.writer.ch <- ckptWriteReq{c: pending}
 	} else {
-		ck.voted0[ck.epoch] = true
 		ck.forceFull = true
 	}
-	if e.rank == 0 {
-		if err := e.ckptRecordVote(ck.epoch, ok); err != nil {
-			return err
+	ck.skipped = !ok
+	ck.voteDue, ck.voteOK = true, ok
+	// Markers before any post-cut traffic: each trails everything this
+	// rank sent before the cut and precedes everything it sends after.
+	// Rank 0 sent its markers when it declared the cut.
+	for r := 0; r < e.p && e.rank != 0; r++ {
+		if r == e.rank {
+			continue
 		}
-	} else {
-		v := int64(0)
-		if ok {
-			v = 1
-		}
-		if err := e.cm.SendNow(0, msg.Ckpt(e.rank, msg.CkptVote, 0, ck.epoch, v)); err != nil {
+		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, 0, ck.epoch, 0)); err != nil {
 			return err
 		}
 	}
+	if err := e.ckptMaybeVote(); err != nil {
+		return err
+	}
 
-	// Resume: unpause, wake the workers, retry the stop broadcast the
-	// pause may have deferred. The snapshot publish proceeds in the
-	// background.
-	atomic.StoreInt32(&ck.phase, ckIdle)
+	// Resume: unpause and retry the stop broadcast the pause may have
+	// deferred. The snapshot publish proceeds in the background.
+	ck.paused = false
 	pauseNs := time.Since(ck.pauseStart).Nanoseconds()
 	ck.pauseNanos += pauseNs
 	ck.pauseHist.Observe(pauseNs)
 	if e.rank == 0 && ck.every > 0 {
-		atomic.StoreInt64(&ck.nextTrigger, e.ckptMetric()+ck.every)
-	}
-	if e.concurrent {
-		resume := []msg.Message{{Kind: kindCkptResume}}
-		for _, w := range e.workers {
-			if !w.inbox.pushBatch(resume) {
-				return e.takeErr()
-			}
-		}
+		ck.nextTrigger = e.ckptMetric() + ck.every
 	}
 	if err := e.cm.FlushAll(); err != nil {
 		return err
@@ -786,18 +704,18 @@ func (e *engine) ckptCut() error {
 	return nil
 }
 
-// ckptServe drives the single-worker loop through an active epoch:
-// alternate protocol steps with blocking receives until the cut
-// completes and generation may resume.
+// ckptServe drives the rank through an active epoch: alternate
+// protocol steps with blocking receives until the cut completes and
+// generation may resume.
 func (e *engine) ckptServe() error {
-	for atomic.LoadInt32(&e.ck.phase) != ckIdle {
+	for e.ck.paused {
 		if err := e.ckptStep(); err != nil {
 			return err
 		}
-		if atomic.LoadInt32(&e.ck.phase) == ckIdle {
+		if !e.ck.paused {
 			return nil
 		}
-		if err := e.drainSingle(true); err != nil {
+		if err := e.drain(true); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,7 @@ func deltaLibrary(t *testing.T, pr model.Params, ranks int, seed uint64, fullEve
 		every := []int64{500, 250, 125, 62}[attempt%4]
 		dir := t.TempDir()
 		if _, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: seed, Workers: 2, BufferCap: 1,
+			Params: pr, Part: newPart(), Seed: seed, BufferCap: 1,
 			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 1000, FullEvery: fullEvery},
 		}, false); err != nil {
 			t.Fatal(err)
@@ -72,8 +72,7 @@ func deltaLibrary(t *testing.T, pr model.Params, ranks int, seed uint64, fullEve
 }
 
 // Resuming over a base+delta chain must reproduce the uninterrupted
-// output exactly — at the same worker count, a different one, and the
-// single-worker loop — for every retained epoch, full or delta.
+// output exactly for every retained epoch, full or delta.
 func TestCheckpointDeltaChainResume(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks, fullEvery = 3, 3
@@ -84,15 +83,15 @@ func TestCheckpointDeltaChainResume(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 21, Workers: 2}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 21}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir, epochs := deltaLibrary(t, pr, ranks, 21, fullEvery)
 
-	resume := func(label string, workers int) {
+	resume := func(label string) {
 		res, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: 21, Workers: workers,
+			Params: pr, Part: newPart(), Seed: 21,
 			Checkpoint: &CheckpointOptions{Dir: dir, Keep: 1000, FullEvery: fullEvery, Resume: true},
 		}, false)
 		if err != nil {
@@ -101,11 +100,9 @@ func TestCheckpointDeltaChainResume(t *testing.T) {
 		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
 	}
 
-	// Newest epoch (usually a delta) at several worker counts — the
-	// chain replay feeding the cross-worker state redistribution.
-	resume("newest workers=2", 2)
-	resume("newest workers=4", 4)
-	resume("newest workers=1", 1)
+	// Newest epoch (usually a delta): the chain replay feeding the
+	// restore.
+	resume("newest")
 
 	// Then every earlier epoch, trimming as a crash would have.
 	for i := len(epochs) - 2; i >= 0; i-- {
@@ -114,7 +111,7 @@ func TestCheckpointDeltaChainResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		resume(fmt.Sprintf("epoch %d", epochs[i]), 2)
+		resume(fmt.Sprintf("epoch %d", epochs[i]))
 	}
 }
 
@@ -131,7 +128,7 @@ func TestCheckpointTornDeltaFallsBack(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 23, Workers: 2}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 23}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +148,15 @@ func TestCheckpointTornDeltaFallsBack(t *testing.T) {
 	}
 	if torn < 0 {
 		t.Skip("rank 1 committed no delta epoch")
+	}
+	// A crash right after that epoch: drop every later (full) epoch, so
+	// the torn delta is the newest file Latest meets.
+	for _, ep := range epochs {
+		for r := 0; r < ranks && ep > torn; r++ {
+			if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+		}
 	}
 	path := ckpt.Path(dir, 1, torn)
 	data, err := os.ReadFile(path)
@@ -172,7 +178,7 @@ func TestCheckpointTornDeltaFallsBack(t *testing.T) {
 		t.Fatalf("Latest returned epoch %v, want one before torn epoch %d", snap, torn)
 	}
 	res, err := Run(Options{
-		Params: pr, Part: newPart(), Seed: 23, Workers: 2,
+		Params: pr, Part: newPart(), Seed: 23,
 		Checkpoint: &CheckpointOptions{Dir: dir, Keep: 1000, FullEvery: fullEvery, Resume: true},
 	}, false)
 	if err != nil {
@@ -195,7 +201,7 @@ func TestCheckpointMissingBaseFallsBack(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 29, Workers: 2}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 29}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,19 +209,39 @@ func TestCheckpointMissingBaseFallsBack(t *testing.T) {
 
 	// Find the newest full epoch on rank 0 that anchors at least one
 	// later delta, and delete it.
-	var missing int64 = -1
-	for i := len(epochs) - 1; i >= 0; i-- {
-		h, err := ckpt.ReadHeader(ckpt.Path(dir, 0, epochs[i]))
+	kinds := make([]int, len(epochs))
+	for i, ep := range epochs {
+		h, err := ckpt.ReadHeader(ckpt.Path(dir, 0, ep))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Kind == ckpt.KindFull && i < len(epochs)-1 {
-			missing = epochs[i]
+		kinds[i] = h.Kind
+	}
+	missingAt := -1
+	for i := len(epochs) - 2; i >= 0; i-- {
+		if kinds[i] == ckpt.KindFull && kinds[i+1] == ckpt.KindDelta {
+			missingAt = i
 			break
 		}
 	}
-	if missing < 0 {
+	if missingAt < 0 {
 		t.Skip("no full epoch anchors a later delta on rank 0")
+	}
+	missing := epochs[missingAt]
+	// A crash before the next full epoch: drop it and everything after
+	// it, so the newest epochs are the stranded chain's deltas.
+	for i := missingAt + 1; i < len(epochs); i++ {
+		if kinds[i] != ckpt.KindFull {
+			continue
+		}
+		for _, ep := range epochs[i:] {
+			for r := 0; r < ranks; r++ {
+				if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil && !os.IsNotExist(err) {
+					t.Fatal(err)
+				}
+			}
+		}
+		break
 	}
 	if err := os.Remove(ckpt.Path(dir, 0, missing)); err != nil {
 		t.Fatal(err)
@@ -228,7 +254,7 @@ func TestCheckpointMissingBaseFallsBack(t *testing.T) {
 		t.Fatalf("Latest returned epoch %d, want one before the missing base %d", snap.Epoch, missing)
 	}
 	res, err := Run(Options{
-		Params: pr, Part: newPart(), Seed: 29, Workers: 2,
+		Params: pr, Part: newPart(), Seed: 29,
 		Checkpoint: &CheckpointOptions{Dir: dir, Keep: 1000, FullEvery: fullEvery, Resume: true},
 	}, false)
 	if err != nil {
@@ -249,7 +275,7 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(Options{Params: pr, Part: part, Seed: 31, Workers: 1}, false)
+	base, err := Run(Options{Params: pr, Part: part, Seed: 31}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +287,7 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 				addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
 			}
 			opts := Options{
-				Params: pr, Part: part, Seed: 31, Workers: 1, BufferCap: 1,
+				Params: pr, Part: part, Seed: 31, BufferCap: 1,
 				Checkpoint: &CheckpointOptions{Dir: dir, Every: 300, Keep: 1000, FullEvery: 2, Resume: resume},
 			}
 			results := make([]*RankResult, ranks)

@@ -10,6 +10,7 @@ import (
 	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
+	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -51,7 +52,7 @@ func TestCheckpointRunMatchesSequential(t *testing.T) {
 	var res *Result
 	for every := int64(1000); every >= 50; every /= 2 {
 		res, err = Run(Options{
-			Params: pr, Part: part, Seed: 5, Workers: 2,
+			Params: pr, Part: part, Seed: 5,
 			Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: every, Keep: 100},
 		}, false)
 		if err != nil {
@@ -77,10 +78,9 @@ func TestCheckpointRunMatchesSequential(t *testing.T) {
 }
 
 // The headline restart property: killing the run after ANY committed
-// epoch and resuming — at the same or a different worker count, and
-// even across the single-worker/concurrent boundary — yields output
-// identical edge-for-edge to the uninterrupted run. Simulated by
-// trimming the snapshot directory down to each epoch in turn (snapshot
+// epoch and resuming yields output identical edge-for-edge to the
+// uninterrupted run. Simulated by trimming the snapshot directory down
+// to each epoch in turn (snapshot
 // files are immutable once committed, so the on-disk state after epoch
 // E is exactly the state a crash after epoch E leaves behind).
 func TestCheckpointResumeEveryEpoch(t *testing.T) {
@@ -96,7 +96,7 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 7, Workers: 2}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 7}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 	for every := int64(500); every >= 50; every /= 2 {
 		dir = t.TempDir()
 		if _, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: 7, Workers: 2,
+			Params: pr, Part: newPart(), Seed: 7,
 			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 1000},
 		}, false); err != nil {
 			t.Fatal(err)
@@ -127,9 +127,9 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		t.Fatalf("only %d epochs committed even at Every=50", len(epochs))
 	}
 
-	resume := func(label string, workers int, every int64) {
+	resume := func(label string, every int64) {
 		res, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: 7, Workers: workers,
+			Params: pr, Part: newPart(), Seed: 7,
 			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 1000, Resume: true},
 		}, false)
 		if err != nil {
@@ -138,15 +138,12 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
 	}
 
-	// Newest epoch: same worker count, more workers, and the
-	// single-worker loop restoring a concurrent run's snapshot. The
-	// continued-checkpointing variant (every > 0) also exercises epoch
-	// numbering and tag resumption after a restart.
+	// Newest epoch, plain and with continued checkpointing (every > 0),
+	// which also exercises epoch numbering and tag resumption after a
+	// restart.
 	top := epochs[len(epochs)-1]
-	resume(fmt.Sprintf("epoch %d workers=2", top), 2, 0)
-	resume(fmt.Sprintf("epoch %d workers=4", top), 4, 0)
-	resume(fmt.Sprintf("epoch %d workers=1", top), 1, 0)
-	resume(fmt.Sprintf("epoch %d continued", top), 2, 500)
+	resume(fmt.Sprintf("epoch %d", top), 0)
+	resume(fmt.Sprintf("epoch %d continued", top), 500)
 
 	// Then every earlier epoch, trimming the directory as a crash at
 	// that epoch would have left it.
@@ -156,7 +153,7 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		resume(fmt.Sprintf("epoch %d", epochs[i]), 2, 0)
+		resume(fmt.Sprintf("epoch %d", epochs[i]), 0)
 	}
 
 	// With every snapshot gone, Resume must fall back to a fresh run.
@@ -165,7 +162,7 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resume("empty dir fresh start", 2, 0)
+	resume("empty dir fresh start", 0)
 }
 
 // A torn snapshot (crash mid-write, detected by CRC) on one rank must
@@ -181,7 +178,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 11, Workers: 2}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 11}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 	for every := int64(600); every >= 50; every /= 2 {
 		dir = t.TempDir()
 		if _, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: 11, Workers: 2,
+			Params: pr, Part: newPart(), Seed: 11,
 			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 3},
 		}, false); err != nil {
 			t.Fatal(err)
@@ -231,7 +228,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 		t.Fatalf("Latest fell back to epoch %d, want %d", snap.Epoch, epochs[len(epochs)-2])
 	}
 	res, err := Run(Options{
-		Params: pr, Part: newPart(), Seed: 11, Workers: 2,
+		Params: pr, Part: newPart(), Seed: 11,
 		Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 3, Resume: true},
 	}, false)
 	if err != nil {
@@ -242,41 +239,147 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 
 // Checkpoint epochs under a single rank — where the whole protocol
 // (begin, rounds, cut, commit) runs against the rank itself, including
-// the transport self-send of the cut — for both the single-worker loop
-// and the dispatcher topology.
+// the transport self-send of the cut. First from a fresh start, then
+// (subtests workers=W) resumed from a 1-rank snapshot the multi-worker
+// engine wrote at W workers (testdata/v5-workers): the merged tables
+// must keep checkpointing.
 func TestCheckpointSingleRank(t *testing.T) {
-	pr := model.Params{N: 4_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 3, seq.CopyModelOptions{})
+	// checkpointed runs a single rank at decreasing intervals — the run
+	// can legitimately finish before a pending trigger opens its epoch —
+	// until one commits an epoch, checking every run's edge set. dir
+	// yields a fresh checkpoint directory per attempt.
+	checkpointed := func(t *testing.T, pr model.Params, seed uint64, kind partition.Kind, resume bool, dir func() string) {
+		t.Helper()
+		sg, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := edgeSet(t, sg.Edges)
+		part, err := partition.New(kind, pr.N, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		for every := int64(700); every >= 50; every /= 2 {
+			res = runWithin(t, Options{
+				Params: pr, Part: part, Seed: seed,
+				Checkpoint: &CheckpointOptions{Dir: dir(), Every: every, Resume: resume},
+			})
+			sameEdgeSet(t, t.Name(), res.Graph.Edges, want)
+			if res.Ranks[0].CkptEpochs >= 1 {
+				return
+			}
+		}
+		t.Fatalf("committed %d epochs even at Every=50, want >= 1", res.Ranks[0].CkptEpochs)
+	}
+
+	checkpointed(t, model.Params{N: 4_000, X: 3, P: 0.5}, 3, partition.KindUCP, false, t.TempDir)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkpointed(t, model.Params{N: 1_500, X: 3, P: 0.5}, 11, partition.KindRRP, true, func() string {
+				return workerFixture(t, "v5-workers", 1, workers, "")
+			})
+		})
+	}
+}
+
+// lateCut delays the cut markers its rank sends to one peer, so that
+// peer is the last to hear the cut from that rank.
+type lateCut struct {
+	transport.Transport
+	to int
+}
+
+func (l lateCut) Send(to int, data []byte) error {
+	if to == l.to {
+		ms, err := msg.DecodeBatch(nil, data)
+		if err != nil {
+			return err
+		}
+		for _, m := range ms {
+			if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == msg.CkptCut {
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+	}
+	return l.Transport.Send(to, data)
+}
+
+// A peer that captures early resumes generating at once, so its
+// post-cut traffic can reach a rank that has not seen rank 0's cut
+// marker yet — here, always: rank 0's marker to the last rank is held
+// back. The peer's own marker must still make that rank capture first.
+// A cut that let the post-cut traffic in would record requests as sent
+// on one side and never received on the other, so the resume from that
+// epoch would wait forever (or diverge).
+func TestCheckpointCutMarkersFromPeers(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	const p = 3
+	newPart := func() partition.Scheme {
+		part, err := partition.New(partition.KindRRP, pr.N, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 17}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := edgeSet(t, sg.Edges)
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			part, err := partition.New(partition.KindUCP, pr.N, 1)
+	group, err := transport.NewLocalGroup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	errs := make([]error, p)
+	done := make(chan struct{}, p)
+	for r := 0; r < p; r++ {
+		go func(r int) {
+			var tr transport.Transport = group.Endpoint(r)
+			if r == 0 {
+				tr = lateCut{Transport: tr, to: p - 1}
+			}
+			_, errs[r] = RunRank(tr, Options{Params: pr, Part: newPart(), Seed: 17,
+				Checkpoint: &CheckpointOptions{Dir: dir, Every: 400, Keep: 1000}})
+			done <- struct{}{}
+		}(r)
+	}
+	for r := 0; r < p; r++ {
+		<-done
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	epochs, err := ckpt.Epochs(dir, 0)
+	if err != nil || len(epochs) == 0 {
+		t.Fatalf("no epochs committed: %v", err)
+	}
+	// Resume from every epoch, newest first, trimming as a crash would.
+	for i := len(epochs) - 1; i >= 0; i-- {
+		res := make(chan error, 1)
+		var got *Result
+		go func() {
+			var err error
+			got, err = Run(Options{Params: pr, Part: newPart(), Seed: 17,
+				Checkpoint: &CheckpointOptions{Dir: dir, Keep: 1000, Resume: true}}, false)
+			res <- err
+		}()
+		select {
+		case err := <-res:
 			if err != nil {
+				t.Fatalf("resume from epoch %d: %v", epochs[i], err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("resume from epoch %d hangs: the cut let post-cut traffic in", epochs[i])
+		}
+		equalEdges(t, fmt.Sprintf("epoch %d", epochs[i]), got.Graph.Edges, base.Graph.Edges)
+		for r := 0; r < p; r++ {
+			if err := os.Remove(ckpt.Path(dir, r, epochs[i])); err != nil && !os.IsNotExist(err) {
 				t.Fatal(err)
 			}
-			// Retry at smaller intervals: the run can legitimately
-			// finish before a pending trigger opens its epoch.
-			var res *Result
-			for every := int64(700); every >= 50; every /= 2 {
-				res, err = Run(Options{
-					Params: pr, Part: part, Seed: 3, Workers: workers,
-					Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: every},
-				}, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameEdgeSet(t, t.Name(), res.Graph.Edges, want)
-				if res.Ranks[0].CkptEpochs >= 1 {
-					break
-				}
-			}
-			if res.Ranks[0].CkptEpochs < 1 {
-				t.Fatalf("committed %d epochs even at Every=50, want >= 1", res.Ranks[0].CkptEpochs)
-			}
-		})
+		}
 	}
 }
 
@@ -315,7 +418,7 @@ func TestCheckpointChaosTransport(t *testing.T) {
 					MaxDelay:  500 * time.Microsecond,
 				})
 				results[r], errs[r] = RunRank(tr, Options{
-					Params: pr, Part: part, Seed: 9, Workers: 2,
+					Params: pr, Part: part, Seed: 9,
 					Checkpoint: &CheckpointOptions{Dir: dir, Every: every},
 				})
 				done <- r
@@ -351,13 +454,13 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	}
 	dir := t.TempDir()
 	if _, err := Run(Options{
-		Params: pr, Part: part, Seed: 4, Workers: 1,
+		Params: pr, Part: part, Seed: 4,
 		Checkpoint: &CheckpointOptions{Dir: dir, Every: 500},
 	}, false); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Run(Options{
-		Params: pr, Part: part, Seed: 5, Workers: 1,
+		Params: pr, Part: part, Seed: 5,
 		Checkpoint: &CheckpointOptions{Dir: dir, Resume: true},
 	}, false)
 	if err == nil || !strings.Contains(err.Error(), "seed") {

@@ -11,19 +11,16 @@
 // points the paper identifies (Algorithm 3.2 lines 7 and 22) by
 // re-running the attachment step.
 //
-// Within a rank, the local node range is sharded across Options.Workers
-// goroutines (the shared-memory multiplier the paper's one-rank-per-core
-// mapping leaves on the table). Each worker owns a contiguous block of
-// local node indices and is the single writer for those nodes' slots,
-// waiter queues and suspension records; cross-worker reads of the shared
-// F table go through atomics, and cross-worker resolution traffic travels
-// over bounded MPSC inboxes, so the Q_{k,l} cascade stays single-writer
-// per shard. Every random draw — including duplicate retries — comes from
-// the owning node's private stream and nodes advance strictly edge by
-// edge (a node blocked on edge e suspends, storing its stream, and
+// Each rank is one goroutine, as the paper maps one rank to one core:
+// it generates its nodes, serves incoming requests and answers, and
+// runs the termination and checkpoint protocols, so the rank's F table,
+// waiter queues and suspension records have a single writer and need
+// no locks. Every random draw — including duplicate retries — comes
+// from the owning node's private stream and nodes advance strictly edge
+// by edge (a node blocked on edge e suspends, storing its stream, and
 // resumes exactly there), so the output graph is a pure function of
-// (n, x, p, seed): independent of the worker count, rank count,
-// partition and message schedule.
+// (n, x, p, seed): independent of the rank count, partition and message
+// schedule.
 //
 // Termination uses the monotonicity of the unresolved-slot count: a
 // rank's count never increases once its generation loop has initiated
@@ -36,8 +33,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pagen/internal/ckpt"
@@ -50,6 +45,7 @@ import (
 	"pagen/internal/obs"
 	"pagen/internal/partition"
 	"pagen/internal/transport"
+	"pagen/internal/xrand"
 )
 
 // Options configures a parallel generation run.
@@ -60,15 +56,10 @@ type Options struct {
 	Part partition.Scheme
 	// Seed seeds the per-node independent random streams.
 	Seed uint64
-	// Workers is the number of generation goroutines per rank. Zero or
-	// negative selects runtime.GOMAXPROCS(0); it is clamped to the
-	// rank's local node count. The output graph is identical for every
-	// worker count.
-	Workers int
 	// BufferCap is the per-destination message-buffer capacity
 	// (comm.DefaultBufferCap if zero; 1 disables buffering).
 	BufferCap int
-	// PollEvery is the number of local nodes processed between inbox
+	// PollEvery is the number of local nodes processed between transport
 	// polls during the generation loop. Zero (or negative) selects the
 	// adaptive policy: the interval starts at DefaultPollEvery and is
 	// halved (toward 16) while the pending-waiter depth is high, doubled
@@ -76,16 +67,16 @@ type Options struct {
 	// queues grow; the ablation benchmark sweeps this.
 	PollEvery int
 	// Trace, when non-nil, receives the per-slot attachment decisions.
-	// Slot ranges written by different ranks (and by different workers
-	// within a rank) are disjoint, so a single shared trace is written
-	// without locking.
+	// Slot ranges written by different ranks are disjoint, so a single
+	// shared trace is written without locking.
 	Trace *model.Trace
 	// Sink, when non-nil, receives every edge as it is finalised
 	// instead of the engine accumulating edges in memory — the paper's
 	// Section 3.5 "generate networks on the fly and analyze without
-	// performing disk I/O" mode. It is called concurrently from the
-	// worker goroutines of every rank (the rank argument identifies the
-	// owning rank), so it must be safe for concurrent use.
+	// performing disk I/O" mode. Each rank calls it from its own
+	// goroutine only (the rank argument identifies the caller); ranks
+	// run concurrently, so a sink shared across ranks must be safe for
+	// concurrent use, while per-rank state needs no locking.
 	Sink func(rank int, e graph.Edge)
 	// StreamDir, when non-empty, streams the rank's resolved edges into
 	// a sorted, CRC-protected shard file under the directory
@@ -150,18 +141,11 @@ const DefaultPollEvery = 64
 
 // Adaptive PollEvery policy bounds: the interval is halved toward
 // adaptiveMinPoll while more than adaptiveHighWater waiter entries are
-// pending or the measured inbox wakeup latency exceeds adaptiveLatHigh,
-// and doubled toward adaptiveMaxPoll while no waiters are pending and
-// messages are being drained within adaptiveLatLow of arriving.
+// pending, and doubled toward adaptiveMaxPoll while none are.
 const (
 	adaptiveMinPoll   = 16
 	adaptiveMaxPoll   = 1024
 	adaptiveHighWater = 128
-	// Wakeup-latency thresholds (nanoseconds of first-enqueue-to-drain
-	// sojourn, the inbox's latEWMA): above High, messages sit too long
-	// between polls; below Low, the consumer keeps up easily.
-	adaptiveLatHigh = 100e3
-	adaptiveLatLow  = 10e3
 )
 
 // RankStats are one rank's load and traffic statistics — the measurements
@@ -178,8 +162,7 @@ type RankStats struct {
 	// resolved and had to wait in a Q_{k,l} queue.
 	QueuedWaits int64
 	// LocalWaits counts copy attachments whose source was local but
-	// unresolved (same-rank dependency-chain waits, including
-	// cross-worker waits inside the rank).
+	// unresolved (same-rank dependency-chain waits).
 	LocalWaits int64
 	// RequestsTo is the per-destination request count — this rank's row
 	// of the request-traffic matrix (strictly lower-triangular under
@@ -190,8 +173,8 @@ type RankStats struct {
 	// of the Section 3.4 claim that waiting never idles a processor.
 	MaxPendingSlots int64
 	// WaitChain is the histogram of Q_{k,l} waiter-queue lengths
-	// observed as each local slot resolved (0 = nobody was waiting),
-	// merged across the rank's workers. Theorem 3.3's O(log n)
+	// observed as each local slot resolved (0 = nobody was waiting).
+	// Theorem 3.3's O(log n)
 	// dependency-chain bound keeps it shallow.
 	WaitChain obs.Histogram
 	// NodeLoad is the per-local-node received-message load — the
@@ -228,16 +211,13 @@ type RankStats struct {
 	// memo) — the empirical counterpart of the Theorem 3.3 O(log n)
 	// chain-depth bound the recompute mode's viability rests on.
 	ReplayDepth obs.Histogram
-	// Steals counts node sub-block spans idle workers claimed from
-	// loaded siblings' unstarted tails; StolenNodes counts the local
-	// node indices those spans covered. Zero outside concurrent mode.
-	// The output graph is identical whatever these count — stealing
-	// moves which goroutine runs a node's generation, never the node's
-	// random stream or its slot bookkeeping.
-	Steals      int64
-	StolenNodes int64
+	// Steals is always zero: a rank is one goroutine, so there is no
+	// intra-rank work to steal.
+	//
+	// Deprecated: kept only so existing callers compile; nothing sets it.
+	Steals int64
 	// BusyTime is wall time minus time spent blocked waiting for
-	// messages (the dispatcher's blocked time when workers > 1).
+	// messages.
 	BusyTime time.Duration
 	// WallTime is the rank's total engine time.
 	WallTime time.Duration
@@ -352,27 +332,9 @@ type RankResult struct {
 	Edges []graph.Edge
 }
 
-// Internal message kinds for same-rank cross-worker traffic. They share
-// msg.Message as the envelope but never reach the codec or the wire:
-// they only travel through worker inboxes.
-const (
-	// kindReqLocal is a same-rank <request>: worker asking a sibling
-	// worker for one of its slots.
-	kindReqLocal msg.Kind = 100 + iota
-	// kindResLocal is a same-rank <resolved>: sibling worker answering.
-	kindResLocal
-	// kindCkptResume wakes a worker parked by a checkpoint epoch: the
-	// cut is committed (or abandoned) and generation may continue.
-	kindCkptResume
-	// kindSlotDone tells a node's static owner that a thief resolved
-	// one of the node's slots (T, E, V mirror a <resolved>): the owner
-	// runs the slot's bookkeeping — unresolved count, waiter chains,
-	// hub publish — so fences and Done accounting stay with the static
-	// shard layout whatever the steal schedule was.
-	kindSlotDone
-)
-
-// engine is the per-rank state machine.
+// engine is the per-rank state machine. One goroutine runs it: the
+// generation loop, the message handlers, the termination protocol and
+// the checkpoint protocol all share the rank's state without locks.
 type engine struct {
 	opts Options
 	rank int
@@ -393,20 +355,9 @@ type engine struct {
 	trace  *model.Trace
 
 	size int64 // local node count
-	nw   int   // worker count (>= 1, <= size when size > 0)
-	blk  int64 // local indices per worker block
-	// concurrent is nw > 1: selects atomic slot access and the
-	// dispatcher/inbox topology instead of the inline single-worker loop.
-	concurrent bool
-	// spanSize is the work-stealing granularity: each worker's block is
-	// divided into spans of this many local indices, claimed atomically
-	// (by the owner as its pass enters them, by an idle thief from the
-	// tail) so every node has exactly one generator.
-	spanSize int64
 
 	// f holds F_t(e) at f[part.Index(rank,t)*x + e]; -1 = NILL. Each
-	// slot is written exactly once (-1 -> v) by its owning worker; when
-	// concurrent, writes and cross-worker reads are atomic.
+	// slot is written exactly once (-1 -> v).
 	f []int64
 	// ckDirty is the delta-checkpoint dirty bitmap: one word per
 	// 1<<ckptDirtyShift F slots, set by setSlot, cleared at each
@@ -426,45 +377,59 @@ type engine struct {
 	hubElided []int64
 
 	// recompute selects the recomputation resolver (Options.Resolve),
-	// depthCap is the effective replay-chain cap, and memo the
-	// rank-level replay memo table (DESIGN.md §11).
+	// depthCap is the effective replay-chain cap, and memo the rank's
+	// replay memo table (DESIGN.md §11).
 	recompute bool
 	depthCap  int
 	memo      replayMemo
-	// fencesRecv counts hub fences received (coordinator-owned): with
-	// the cache on a rank may not leave its receive loop until every
-	// peer has fenced, so no publish frame outlives the engine on the
-	// transport (pa-tcp runs post-run collectives over the same
-	// connections).
+	// fencesRecv counts hub fences received: with the cache on a rank
+	// may not leave its receive loop until every peer has fenced, so no
+	// publish frame outlives the engine on the transport (pa-tcp runs
+	// post-run collectives over the same connections).
 	fencesRecv int
 
-	workers []*worker
+	// rng is reused across nodes and re-seeded per node; waiters are
+	// the Q_{k,l} queues of the rank's slots; susp parks suspended
+	// nodes' continuations.
+	rng     xrand.Rand
+	waiters waiterTable
+	susp    suspTable
+	// remote is the request-coalescing table (hub cache on only): it
+	// chains this rank's nodes waiting on the same remote slot, keyed by
+	// global slot id k*x + l, primary requester included. One wire
+	// request serves the whole chain; resumeWire fans its answer out.
+	remote waiterTable
+
+	// cursor is the next local index the generation pass will visit; a
+	// checkpoint pause stops the pass and the next one (or a restored
+	// run) continues from here.
+	cursor int64
+	// unresolved counts the rank's still-NILL slots; once the pass has
+	// initiated every node it only decreases, and zero reports done.
+	unresolved int64
+	// poll is the current generation-loop polling interval; adaptive
+	// tracks whether adaptPoll may move it.
+	poll     int
+	adaptive bool
 
 	// pendingWaiters tracks the current and maximum number of queued
-	// waiter entries across all local queues (atomic when concurrent).
+	// waiter entries across all local queues.
 	pendingWaiters    int64
 	maxPendingWaiters int64
 
-	// activeWorkers counts workers that still have unresolved local
-	// slots; the decrement that reaches zero reports the rank done.
-	activeWorkers int32
-	// doneSent latches the rank's done report (CAS 0 -> 1).
-	doneSent int32
-
-	// abortCh broadcasts the first failure to all worker goroutines.
-	abortOnce sync.Once
-	abortCh   chan struct{}
-	errMu     sync.Mutex
-	firstErr  error
+	// err latches the first failure raised inside the generation path
+	// (sends, stream writes), which has no error return of its own.
+	err error
 
 	// edges is the rank's output (reconstructed from f after the
-	// protocol ends when no sink streams them).
-	edges     []graph.Edge
-	bootEdges int64 // edges emitted by bootstrap (sink mode accounting)
-	stats     RankStats
-	blocked   time.Duration
+	// protocol ends when no sink streams them). emitted counts edges
+	// handed to the sink (sink mode accounting).
+	edges   []graph.Edge
+	emitted int64
+	stats   RankStats
+	blocked time.Duration
 
-	// coordinator state (dispatcher or single-worker loop).
+	// termination protocol state.
 	doneFlag  bool
 	doneRanks int
 	stopped   bool
@@ -479,12 +444,6 @@ type engine struct {
 	// snapshot already initiated.
 	restored   bool
 	resumeSnap *ckpt.Snapshot
-	// pump and reqOut track the dispatcher's requestable receive: a
-	// kick can interrupt the wait, leaving the pump request outstanding
-	// for the next receive to consume.
-	pump   *recvPump
-	reqOut bool
-	route  [][]msg.Message
 }
 
 // RunRank executes one rank of the parallel algorithm over the given
@@ -571,41 +530,28 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	}
 
 	rank := tr.Rank()
-	size := opts.Part.Size(rank)
-	nw := opts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if int64(nw) > size {
-		nw = int(size)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	blk := int64(1)
-	if size > 0 {
-		blk = (size + int64(nw) - 1) / int64(nw)
-	}
-
 	e := &engine{
-		opts:       opts,
-		rank:       rank,
-		p:          tr.Size(),
-		x:          opts.Params.X,
-		x64:        int64(opts.Params.X),
-		seed:       opts.Seed,
-		prob:       opts.Params.P,
-		sink:       opts.Sink,
-		part:       opts.Part,
-		tr:         tr,
-		cm:         comm.New(tr, comm.Config{BufferCap: opts.BufferCap}),
-		trace:      opts.Trace,
-		size:       size,
-		nw:         nw,
-		blk:        blk,
-		concurrent: nw > 1,
-		abortCh:    make(chan struct{}),
+		opts:  opts,
+		rank:  rank,
+		p:     tr.Size(),
+		x:     opts.Params.X,
+		x64:   int64(opts.Params.X),
+		seed:  opts.Seed,
+		prob:  opts.Params.P,
+		sink:  opts.Sink,
+		part:  opts.Part,
+		tr:    tr,
+		cm:    comm.New(tr, comm.Config{BufferCap: opts.BufferCap}),
+		trace: opts.Trace,
+		size:  opts.Part.Size(rank),
+		poll:  opts.PollEvery,
 	}
+	if e.poll <= 0 {
+		e.poll = DefaultPollEvery
+		e.adaptive = true
+	}
+	e.waiters.init()
+	e.susp.init()
 	switch opts.Resolve {
 	case ResolveWire:
 	case ResolveRecompute:
@@ -617,13 +563,12 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		if e.depthCap == 0 {
 			e.depthCap = DefaultRecomputeDepth(opts.Params.N)
 		}
-		e.memo.m = make(map[int64]*replayEntry)
+		e.memo = make(replayMemo)
 	default:
 		return nil, fmt.Errorf("core: unknown resolve mode %d", int(opts.Resolve))
 	}
 	// Hub-prefix replica: pointless on one rank (no wire requests) and
-	// at p = 1 (no copy branch, so no requests at all). Set up before
-	// the workers so they can size their coalescing tables.
+	// at p = 1 (no copy branch, so no requests at all).
 	if hp := opts.HubPrefix; hp >= 0 && e.p > 1 && e.prob < 1 {
 		h := hp
 		if h == 0 {
@@ -635,26 +580,10 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		// A prefix inside the clique would never be consulted (copy
 		// sources are drawn from [x, t)).
 		if h > e.x64 {
-			e.hub = newHubCache(h, e.x64, e.concurrent)
+			e.hub = newHubCache(h, e.x64)
 			e.hubPeers = hubPeerRanks(opts.Part, rank, e.p)
+			e.remote.init()
 		}
-	}
-	// Steal spans: cap a block at 64 spans so a thief's victim scan is
-	// O(64) per sibling, with a 64-node floor so a span amortises its
-	// claim CAS. Fixed before the workers are built (they size their
-	// claim arrays from it).
-	e.spanSize = 64
-	if s := (blk + 63) / 64; s > e.spanSize {
-		e.spanSize = s
-	}
-	e.workers = make([]*worker, nw)
-	for i := 0; i < nw; i++ {
-		lo := int64(i) * blk
-		hi := lo + blk
-		if hi > size {
-			hi = size
-		}
-		e.workers[i] = newWorker(e, i, lo, hi)
 	}
 	if c := opts.Checkpoint; c != nil {
 		switch {
@@ -679,27 +608,15 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 			keep = 2
 		}
 		e.ck = &ckptRun{
-			dir:       c.Dir,
-			every:     c.Every,
-			keep:      keep,
-			fullEvery: c.FullEvery,
-			kick:      make(chan struct{}, 1),
-			epochNext: 1,
-			voted0:    make(map[int64]bool),
+			dir:         c.Dir,
+			every:       c.Every,
+			keep:        keep,
+			fullEvery:   c.FullEvery,
+			nextTrigger: c.Every,
+			epochNext:   1,
 		}
 		e.seq = coll.New(e.cm)
 		e.ckTrig = rank == 0 && c.Every > 0
-		atomic.StoreInt64(&e.ck.nextTrigger, c.Every)
-		if e.concurrent {
-			ck := e.ck
-			for _, w := range e.workers {
-				w.inbox.onIdle = func() {
-					if atomic.LoadInt32(&ck.phase) == ckPaused {
-						ck.kickNow()
-					}
-				}
-			}
-		}
 	}
 	// The stream writer opens last so earlier validation failures never
 	// leave a file handle behind. The file's existing contents survive
@@ -738,132 +655,44 @@ func (e *engine) slot(t int64, edge int) int64 {
 
 func (e *engine) localIdx(t int64) int64 { return e.part.Index(e.rank, t) }
 
-// workerOf returns the worker statically owning local node index idx —
-// the keeper of its slots' waiter queues and its shard's unresolved
-// count, whatever the steal schedule.
-func (e *engine) workerOf(idx int64) int { return int(idx / e.blk) }
-
-// generatorOf returns the worker generating local node index idx: the
-// claimant of idx's steal span when one is recorded, the static owner
-// otherwise. Resolutions must reach the generator (it holds the node's
-// suspension record); requests still go to the static owner. The answer
-// is stable for any node with traffic in flight: a span's claim is
-// CASed exactly once, before any node in it is initiated — so before
-// any request (whose response this routes) can exist.
-func (e *engine) generatorOf(idx int64) int {
-	ow := int(idx / e.blk)
-	w := e.workers[ow]
-	if w.claims == nil {
-		return ow
-	}
-	if c := atomic.LoadInt32(&w.claims[(idx-w.lo)/e.spanSize]); c >= 0 {
-		return int(c)
-	}
-	return ow
-}
-
-// setSlot publishes F value v for flat slot s. Slots are write-once
-// (-1 -> v); under concurrency the store is atomic so sibling workers'
-// optimistic reads see either NILL or the final value.
+// setSlot publishes F value v for flat slot s (write-once, -1 -> v),
+// marking its delta-checkpoint chunk dirty. The bitmap word is only
+// written while still clear, so the steady state is one cached load.
 func (e *engine) setSlot(s, v int64) {
 	if e.ckDirty != nil {
-		e.ckptMarkDirty(s)
-	}
-	if e.concurrent {
-		atomic.StoreInt64(&e.f[s], v)
-		return
+		if w := &e.ckDirty[s>>ckptDirtyShift]; *w == 0 {
+			*w = 1
+		}
 	}
 	e.f[s] = v
 }
 
-// getSlot reads flat slot s. Atomic under concurrency: with stealing
-// any slot's writer may be a thief, so not even a worker's static block
-// is privately readable (only a node's own generator may read its slots
-// plainly, via isDup).
-func (e *engine) getSlot(s int64) int64 {
-	if e.concurrent {
-		return atomic.LoadInt64(&e.f[s])
-	}
-	return e.f[s]
-}
-
 // noteLoad counts one copy query received by local node index kidx.
 func (e *engine) noteLoad(kidx int64) {
-	if e.nodeLoad == nil {
-		return
+	if e.nodeLoad != nil {
+		e.nodeLoad[kidx]++
 	}
-	if e.concurrent {
-		atomic.AddInt64(&e.nodeLoad[kidx], 1)
-		return
-	}
-	e.nodeLoad[kidx]++
 }
 
 // trackPending adjusts the queued-waiter gauge and its high-water mark.
 func (e *engine) trackPending(delta int64) {
-	if !e.concurrent {
-		e.pendingWaiters += delta
-		if e.pendingWaiters > e.maxPendingWaiters {
-			e.maxPendingWaiters = e.pendingWaiters
-		}
-		return
-	}
-	v := atomic.AddInt64(&e.pendingWaiters, delta)
-	if delta > 0 {
-		for {
-			m := atomic.LoadInt64(&e.maxPendingWaiters)
-			if v <= m || atomic.CompareAndSwapInt64(&e.maxPendingWaiters, m, v) {
-				break
-			}
-		}
+	e.pendingWaiters += delta
+	if e.pendingWaiters > e.maxPendingWaiters {
+		e.maxPendingWaiters = e.pendingWaiters
 	}
 }
 
-// pendingDepth reads the queued-waiter gauge (adaptive-poll input).
-func (e *engine) pendingDepth() int64 {
-	if e.concurrent {
-		return atomic.LoadInt64(&e.pendingWaiters)
-	}
-	return e.pendingWaiters
-}
-
-// fail latches the first error and aborts every worker goroutine:
-// closing abortCh wakes the dispatcher, closing the inboxes wakes
-// blocked workers.
-func (e *engine) fail(err error) {
-	if err == nil {
-		return
-	}
-	e.errMu.Lock()
-	if e.firstErr == nil {
-		e.firstErr = err
-	}
-	e.errMu.Unlock()
-	e.abortOnce.Do(func() {
-		close(e.abortCh)
-		for _, w := range e.workers {
-			if w.inbox != nil {
-				w.inbox.close()
-			}
-		}
-	})
-}
-
-func (e *engine) aborted() bool {
-	select {
-	case <-e.abortCh:
-		return true
-	default:
-		return false
+// setErr latches the first error raised inside the generation path.
+func (e *engine) setErr(err error) {
+	if e.err == nil {
+		e.err = err
 	}
 }
 
-func (e *engine) takeErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.firstErr
-}
-
+// run drives the rank from bootstrap to stop: generation passes
+// interleaved with checkpoint epochs, then — once every local node has
+// been initiated — the receive loop that answers requests and finishes
+// suspended nodes until the termination protocol stops the rank.
 func (e *engine) run() error {
 	start := time.Now()
 	defer func() {
@@ -897,33 +726,36 @@ func (e *engine) run() error {
 		}
 	}
 
-	if !e.concurrent {
-		return e.runSingle()
+	for !e.generate() {
+		if err := e.ckptServe(); err != nil {
+			return err
+		}
+	}
+	if e.err != nil {
+		return e.err
 	}
 
-	// A rank with no generating nodes (every local node is clique or
-	// bootstrap) reports done straight away; its dispatcher still runs
-	// the termination protocol.
-	if atomic.LoadInt32(&e.activeWorkers) == 0 {
-		e.reportDone()
+	// All local slots initiated. From here unresolved is monotone.
+	if err := e.maybeReportDone(); err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.runConcurrent()
-		}(w)
+	for !e.finished() {
+		if err := e.drain(true); err != nil {
+			return err
+		}
+		if err := e.ckptStep(); err != nil {
+			return err
+		}
+		if err := e.maybeReportDone(); err != nil {
+			return err
+		}
 	}
-	e.dispatch()
-	wg.Wait()
-	return e.takeErr()
+	return nil
 }
 
 // bootstrap emits clique edges for locally-owned clique nodes, fixes
-// node x's attachments if x is local, and splits the unresolved-slot
-// budget across the workers. It runs on the rank goroutine before any
-// worker starts, so plain writes to f are safe.
+// node x's attachments if x is local, and counts the rank's unresolved
+// slots.
 func (e *engine) bootstrap() {
 	e.f = make([]int64, e.size*e.x64)
 	for i := range e.f {
@@ -964,18 +796,9 @@ func (e *engine) bootstrap() {
 				}
 			}
 		default:
-			e.workers[e.workerOf(idx)].unresolved += e.x64
+			e.unresolved += e.x64
 		}
 	})
-	active := int32(0)
-	for _, w := range e.workers {
-		if w.unresolved > 0 {
-			active++
-		} else {
-			w.doneNoted = true
-		}
-	}
-	atomic.StoreInt32(&e.activeWorkers, active)
 }
 
 // bootEmit streams one bootstrap-time edge (slot key, edge) to the
@@ -986,7 +809,7 @@ func (e *engine) bootstrap() {
 // write is suppressed; a write error latches in the writer and run()
 // surfaces it right after bootstrap.
 func (e *engine) bootEmit(key int64, ed graph.Edge) {
-	e.bootEdges++
+	e.emitted++
 	if e.stream != nil && e.resumeSnap == nil {
 		e.stream.Emit(uint64(key), ed.V)
 	}
@@ -996,9 +819,9 @@ func (e *engine) bootEmit(key int64, ed graph.Edge) {
 }
 
 // collectEdges rebuilds the rank's edge list from the resolved F table in
-// increasing node order — exactly the order the pre-worker engine emitted
+// increasing node order — exactly the order the original engine emitted
 // single-rank edges in, which keeps the order-sensitive single-rank
-// fingerprints byte-identical for every worker count.
+// fingerprints byte-identical.
 func (e *engine) collectEdges() {
 	e.edges = make([]graph.Edge, 0, e.size*e.x64)
 	e.part.ForEach(e.rank, func(t int64) {
@@ -1015,8 +838,8 @@ func (e *engine) collectEdges() {
 	})
 }
 
-// finishStats assembles the rank's statistics from the engine, the
-// communicator and the per-worker counters.
+// finishStats completes the rank's statistics from the engine and the
+// communicator (the hot-path counters accumulate in e.stats directly).
 func (e *engine) finishStats() {
 	e.stats.Rank = e.rank
 	e.stats.Nodes = e.size
@@ -1031,33 +854,15 @@ func (e *engine) finishStats() {
 		e.stats.SinkFsyncs = st.Fsyncs
 		e.stats.SinkFsyncTime = time.Duration(st.FsyncNanos)
 	case e.sink != nil:
-		e.stats.Edges = e.bootEdges
-		for _, w := range e.workers {
-			e.stats.Edges += w.edgeCount
-		}
+		e.stats.Edges = e.emitted
 	default:
 		e.stats.Edges = int64(len(e.edges))
-	}
-	for _, w := range e.workers {
-		e.stats.Retries += w.retries
-		e.stats.Steals += w.steals
-		e.stats.StolenNodes += w.stolenNodes
-		e.stats.QueuedWaits += w.queuedWaits
-		e.stats.LocalWaits += w.localWaits
-		e.stats.HubCacheHits += w.hubHits
-		e.stats.HubCacheMisses += w.hubMisses
-		e.stats.ReqCoalesced += w.coalesced
-		e.stats.RecomputeResolved += w.recomputeHits
-		e.stats.RecomputeFallback += w.recomputeFallbacks
-		e.stats.ReplayedEdges += w.replayedEdges
-		e.stats.WaitChain.Merge(w.waitChain)
-		e.stats.ReplayDepth.Merge(w.replayDepth)
 	}
 	e.stats.Comm = e.cm.Counters()
 	// The engine owns its Comm and never sends again, so take the live
 	// counts instead of copying them.
 	e.stats.RequestsTo = e.cm.RequestsToView()
-	e.stats.MaxPendingSlots = atomic.LoadInt64(&e.maxPendingWaiters)
+	e.stats.MaxPendingSlots = e.maxPendingWaiters
 	e.stats.NodeLoad = e.nodeLoad
 	e.stats.HubElided = e.hubElided
 	if ck := e.ck; ck != nil {
@@ -1075,98 +880,37 @@ func (e *engine) finishStats() {
 	}
 }
 
-// reportDone sends the rank's done report exactly once. With workers the
-// report goes through the transport even on rank 0 (a self-send) so the
-// dispatcher — the only goroutine allowed to touch coordinator state —
-// counts it like any other rank's.
-func (e *engine) reportDone() {
-	if !atomic.CompareAndSwapInt32(&e.doneSent, 0, 1) {
-		return
-	}
-	// Fences first: each worker flushed its scratch when its own shard
-	// completed (noteShardDone), with the activeWorkers decrement
-	// ordering those flushes before this point, so every publish this
-	// rank will ever send is already in the stripes or on the wire —
-	// the fences trail them all on each pairwise channel.
-	if err := e.sendFences(); err != nil {
-		e.fail(err)
-		return
-	}
-	if err := e.cm.SendNow(0, msg.Done(e.rank)); err != nil {
-		e.fail(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Single-worker path: the original inline loop. Generation, message
-// processing and coordination all run on the rank goroutine; no inboxes,
-// no atomics, and — on a single rank — no control traffic at all.
-// ---------------------------------------------------------------------
-
-func (e *engine) runSingle() error {
-	w := e.workers[0]
-	for {
-		done := e.genSingle()
-		if w.err != nil {
-			return w.err
-		}
-		if done {
-			break
-		}
-		if err := e.ckptServe(); err != nil {
-			return err
-		}
-	}
-
-	// All local slots initiated. From here unresolved is monotone.
-	if err := e.maybeReportDone(); err != nil {
-		return err
-	}
-	for !e.finished() {
-		if err := e.drainSingle(true); err != nil {
-			return err
-		}
-		if err := e.ckptStep(); err != nil {
-			return err
-		}
-		if err := e.maybeReportDone(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// genSingle advances the single worker's generation cursor until the
-// block is exhausted (returns true) or a checkpoint epoch pauses the
-// run (returns false; ckptServe drives the epoch, then the cursor
-// resumes exactly where it stopped).
-func (e *engine) genSingle() bool {
-	w := e.workers[0]
+// generate advances the generation cursor until every local node has
+// been initiated (returns true) or a checkpoint epoch pauses the run
+// (returns false; ckptServe drives the epoch, then the cursor resumes
+// exactly where it stopped). Every poll interval it drains the
+// transport without blocking and retunes the interval.
+func (e *engine) generate() bool {
 	sincePoll := 0
-	for w.cursor < w.hi {
-		if w.err != nil {
+	for e.cursor < e.size {
+		if e.err != nil {
 			return true
 		}
-		idx := w.cursor
-		w.cursor++
+		idx := e.cursor
+		e.cursor++
 		if t := e.part.NodeAt(e.rank, idx); t > e.x64 && !(e.restored && e.nodeInitiated(idx)) {
-			w.genNode(t)
+			e.genNode(t)
 			if e.ckTrig {
-				e.ckptNoteInit()
+				e.ck.initiated++
 			}
 		}
 		sincePoll++
-		if sincePoll >= w.poll {
+		if sincePoll >= e.poll {
 			sincePoll = 0
-			if err := e.drainSingle(false); err != nil && w.err == nil {
-				w.err = err
+			if err := e.drain(false); err != nil {
+				e.setErr(err)
 			}
-			w.adaptPoll()
+			e.adaptPoll()
 			if e.ck != nil {
-				if err := e.ckptStep(); err != nil && w.err == nil {
-					w.err = err
+				if err := e.ckptStep(); err != nil {
+					e.setErr(err)
 				}
-				if atomic.LoadInt32(&e.ck.phase) == ckPaused {
+				if e.ck.paused {
 					return false
 				}
 				// Yield at the poll point: with more ranks than cores a
@@ -1182,12 +926,31 @@ func (e *engine) genSingle() bool {
 	return true
 }
 
-// drainSingle processes incoming messages: all immediately available
-// ones, or — when block is set — at least one batch. Before blocking it
+// adaptPoll retunes the polling interval from the live pending-waiter
+// depth: a deep backlog means the generation stretches are too long for
+// the traffic — poll more often; an empty one means the rank is
+// over-polling — stretch the interval.
+func (e *engine) adaptPoll() {
+	if !e.adaptive {
+		return
+	}
+	switch depth := e.pendingWaiters; {
+	case depth > adaptiveHighWater:
+		if e.poll > adaptiveMinPoll {
+			e.poll /= 2
+		}
+	case depth == 0:
+		if e.poll < adaptiveMaxPoll {
+			e.poll *= 2
+		}
+	}
+}
+
+// drain processes incoming messages: all immediately available ones,
+// or — when block is set — at least one batch. Before blocking it
 // flushes all send buffers (the Section 3.5.2 rule generalised: nothing
 // may linger while we sleep).
-func (e *engine) drainSingle(block bool) error {
-	w := e.workers[0]
+func (e *engine) drain(block bool) error {
 	var ms []msg.Message
 	var err error
 	if block {
@@ -1204,12 +967,12 @@ func (e *engine) drainSingle(block bool) error {
 		return err
 	}
 	for _, m := range ms {
-		if err := e.handleSingle(m); err != nil {
+		if err := e.handle(m); err != nil {
 			return err
 		}
 	}
-	if w.err != nil {
-		return w.err
+	if e.err != nil {
+		return e.err
 	}
 	// Answers generated while processing this batch must not wait for
 	// the next blocking point (paper rule: resolved messages are sent
@@ -1217,14 +980,13 @@ func (e *engine) drainSingle(block bool) error {
 	return e.cm.FlushAll()
 }
 
-// handleSingle routes one received message on the single-worker path.
-func (e *engine) handleSingle(m msg.Message) error {
-	w := e.workers[0]
+// handle routes one received message.
+func (e *engine) handle(m msg.Message) error {
 	switch m.Kind {
 	case msg.KindRequest:
-		w.onRequest(m, true)
+		e.onRequest(m)
 	case msg.KindResolved:
-		w.resumeWire(m.T, int(m.E), m.V)
+		e.resumeWire(m.T, int(m.E), m.V)
 	case msg.KindPublish:
 		return e.applyPublish(m)
 	case msg.KindFence:
@@ -1256,10 +1018,10 @@ func (e *engine) handleSingle(m msg.Message) error {
 }
 
 // maybeReportDone sends the rank's done report once all local slots are
-// resolved. Safe to call repeatedly; reports once. Single-worker only:
-// rank 0 short-circuits the self-send.
+// resolved. Safe to call repeatedly; reports once. Rank 0
+// short-circuits the self-send.
 func (e *engine) maybeReportDone() error {
-	if e.workers[0].unresolved != 0 || e.doneFlag {
+	if e.unresolved != 0 || e.doneFlag {
 		return nil
 	}
 	e.doneFlag = true
@@ -1287,7 +1049,7 @@ func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
 		return nil
 	}
-	if e.ck != nil && (atomic.LoadInt32(&e.ck.phase) != ckIdle || len(e.ck.votes) > 0) {
+	if e.ck != nil && (e.ck.paused || e.ck.tallyOpen) {
 		return nil
 	}
 	for r := 1; r < e.p; r++ {
@@ -1297,230 +1059,4 @@ func (e *engine) maybeBroadcastStop() error {
 	}
 	e.stopped = true
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Multi-worker path: the rank goroutine becomes the dispatcher. It is
-// the transport's single consumer, routing each incoming message to the
-// worker owning the addressed node, and it runs the coordinator logic.
-// ---------------------------------------------------------------------
-
-// recvPump turns the blocking transport Recv into a requestable event so
-// the dispatcher can block on either a frame or an abort. The pump only
-// calls Recv when asked (ping-pong), so after a normal stop there is no
-// outstanding Recv to swallow frames a caller (e.g. cmd/pa-tcp's
-// post-run collectives) expects to read from the same transport.
-type recvPump struct {
-	req chan struct{}
-	res chan pumpResult
-}
-
-type pumpResult struct {
-	frame transport.Frame
-	err   error
-}
-
-func startPump(tr transport.Transport) *recvPump {
-	p := &recvPump{req: make(chan struct{}), res: make(chan pumpResult, 1)}
-	go func() {
-		for range p.req {
-			f, err := tr.Recv()
-			p.res <- pumpResult{frame: f, err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return p
-}
-
-// shutdown ends the pump. If a request is outstanding (abort), the
-// buffered result channel lets the pump finish its Recv and exit without
-// anyone reading the result.
-func (p *recvPump) shutdown() { close(p.req) }
-
-// pumpRecv blocks for one transport frame via the pump and returns the
-// decoded batch. A pump request left outstanding by an interrupted wait
-// (kick) is consumed by the next call instead of issuing another. When
-// kickable, a checkpoint kick interrupts the wait with (nil, true, nil)
-// so the dispatcher can run the epoch protocol; the commit collectives'
-// receive path is not kickable.
-func (e *engine) pumpRecv(kickable bool) (ms []msg.Message, kicked bool, err error) {
-	if !e.reqOut {
-		e.pump.req <- struct{}{}
-		e.reqOut = true
-	}
-	var kickCh chan struct{}
-	if kickable && e.ck != nil {
-		kickCh = e.ck.kick
-	}
-	t0 := time.Now()
-	select {
-	case r := <-e.pump.res:
-		e.blocked += time.Since(t0)
-		e.reqOut = false
-		if r.err != nil {
-			return nil, false, r.err
-		}
-		ms, err = e.cm.DecodeFrame(r.frame)
-		return ms, false, err
-	case <-kickCh:
-		e.blocked += time.Since(t0)
-		return nil, true, nil
-	case <-e.abortCh:
-		e.blocked += time.Since(t0)
-		return nil, false, errAborted
-	}
-}
-
-// pumpDrain consumes a pump result left behind by a kick-interrupted
-// pumpRecv, if one is ready, and returns its decoded batch (nil when
-// there is nothing parked). Without this, a frame the pump captured just
-// before a kick could starve: during a checkpoint epoch the protocol's
-// self-sent probes and reports keep Poll returning fresh frames every
-// iteration, so the dispatcher would never block on pumpRecv again — and
-// the parked frame (say, a Done report the quiescence balance is waiting
-// for) would never be delivered.
-func (e *engine) pumpDrain() ([]msg.Message, error) {
-	if !e.reqOut {
-		return nil, nil
-	}
-	select {
-	case r := <-e.pump.res:
-		e.reqOut = false
-		if r.err != nil {
-			return nil, r.err
-		}
-		return e.cm.DecodeFrame(r.frame)
-	default:
-		return nil, nil
-	}
-}
-
-// deliver routes one received batch: protocol traffic to the owning
-// workers' inboxes, coordination messages to the coordinator state.
-// Shared by the dispatcher's main loop and the post-cut release of held
-// messages.
-func (e *engine) deliver(ms []msg.Message) error {
-	if e.route == nil {
-		// First delivery can precede dispatch when the startup flush
-		// releases messages held during resume negotiation.
-		e.route = make([][]msg.Message, e.nw)
-	}
-	route := e.route
-	for i := range route {
-		route[i] = route[i][:0]
-	}
-	for _, m := range ms {
-		switch m.Kind {
-		case msg.KindRequest:
-			wid := e.workerOf(e.localIdx(m.K))
-			route[wid] = append(route[wid], m)
-		case msg.KindResolved:
-			// To the generator, not the static owner: the suspension
-			// record this answers lives with whoever claimed the node's
-			// steal span.
-			wid := e.generatorOf(e.localIdx(m.T))
-			route[wid] = append(route[wid], m)
-		case msg.KindPublish:
-			if err := e.applyPublish(m); err != nil {
-				return err
-			}
-		case msg.KindFence:
-			if err := e.onFence(); err != nil {
-				return err
-			}
-		case msg.KindDone:
-			if e.rank != 0 {
-				return fmt.Errorf("core: rank %d received done message", e.rank)
-			}
-			e.doneRanks++
-			if e.ck != nil {
-				e.ck.doneRecv++
-			}
-			if err := e.maybeBroadcastStop(); err != nil {
-				return err
-			}
-		case msg.KindStop:
-			e.stopped = true
-		case msg.KindCkpt:
-			if err := e.ckptOnMsg(m); err != nil {
-				return err
-			}
-		case msg.KindColl:
-			// A commit-vote contribution that raced ahead of this rank
-			// entering the cut's collectives; buffer it for them.
-			if e.ck == nil {
-				return fmt.Errorf("core: unexpected message kind %v", m.Kind)
-			}
-			e.seq.Stash(int(m.T), m.K, m.V)
-		default:
-			return fmt.Errorf("core: unexpected message kind %v", m.Kind)
-		}
-	}
-	for i, b := range route {
-		if len(b) == 0 {
-			continue
-		}
-		if !e.workers[i].inbox.pushBatch(b) {
-			// Inbox closed: abort already under way.
-			return e.takeErr()
-		}
-	}
-	return nil
-}
-
-// dispatch runs the rank's receive loop until stop or abort: decode,
-// route to owning workers, count done reports (rank 0), broadcast stop,
-// and drive the checkpoint protocol. On return (normal stop) it closes
-// every inbox, which is the workers' stop signal.
-func (e *engine) dispatch() {
-	e.pump = startPump(e.tr)
-	defer e.pump.shutdown()
-	if e.route == nil {
-		// Normally built here, but the startup held-flush (resume
-		// negotiation traffic) may have routed batches already.
-		e.route = make([][]msg.Message, e.nw)
-	}
-	for !e.finished() {
-		if err := e.ckptStep(); err != nil {
-			e.fail(err)
-			return
-		}
-		if e.finished() {
-			break
-		}
-		ms, err := e.pumpDrain()
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		if len(ms) == 0 {
-			ms, err = e.cm.Poll()
-			if err != nil {
-				e.fail(err)
-				return
-			}
-		}
-		if len(ms) == 0 {
-			var kicked bool
-			ms, kicked, err = e.pumpRecv(true)
-			if err != nil {
-				if err != errAborted {
-					e.fail(err)
-				}
-				return
-			}
-			if kicked {
-				continue
-			}
-		}
-		if err := e.deliver(ms); err != nil {
-			e.fail(err)
-			return
-		}
-	}
-	for _, w := range e.workers {
-		w.inbox.close()
-	}
 }

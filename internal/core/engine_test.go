@@ -358,6 +358,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// An unknown transport name must fail loudly, not fall back.
+func TestRunUnknownTransport(t *testing.T) {
+	pr := model.Params{N: 1000, X: 2, P: 0.5}
+	part, err := partition.New(partition.KindRRP, pr.N, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Params: pr, Part: part, Seed: 1, Transport: "tcp"}, false); err == nil {
+		t.Fatal("Run with Transport tcp succeeded; in-process runs cannot speak tcp")
+	}
+}
+
 // Many ranks relative to nodes: partitions with zero generating nodes
 // must still participate in termination correctly.
 func TestManyRanksFewNodes(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkHotPathEngine measures the steady-state generation loop: one
 // node's x attachment placements (advance → resolveLocal → emit) against
-// a warm single-worker engine with a no-op sink. This is the
+// a warm engine with a no-op sink. This is the
 // zero-allocation claim of the hot path — after bootstrap, expect 0
-// allocs/op: the per-node RNG stream lives on the worker, the waiter
+// allocs/op: the per-node RNG stream lives on the engine, the waiter
 // table recycles its arena, and the sink bypasses the edge store.
 func BenchmarkHotPathEngine(b *testing.B) {
 	const (
@@ -30,17 +30,15 @@ func BenchmarkHotPathEngine(b *testing.B) {
 		b.Fatal(err)
 	}
 	e, err := newEngine(g.Endpoint(0), Options{
-		Params:  pr,
-		Part:    part,
-		Seed:    1,
-		Workers: 1,
-		Sink:    func(int, graph.Edge) {},
+		Params: pr,
+		Part:   part,
+		Seed:   1,
+		Sink:   func(int, graph.Edge) {},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	e.bootstrap()
-	w := e.workers[0]
 
 	t := int64(x + 1)
 	b.ReportAllocs()
@@ -56,71 +54,9 @@ func BenchmarkHotPathEngine(b *testing.B) {
 		for j := 0; j < x; j++ {
 			e.f[base+int64(j)] = -1
 		}
-		w.genNode(t)
-		if w.err != nil {
-			b.Fatal(w.err)
-		}
-		t++
-	}
-}
-
-// BenchmarkHotPathWorkerShard is the same steady-state loop against a
-// worker of a multi-worker engine: slot publishes go through the atomic
-// store path and the worker's block bounds apply — the constant-factor
-// cost of making the rank concurrent. Still 0 allocs/op.
-func BenchmarkHotPathWorkerShard(b *testing.B) {
-	const (
-		n = int64(1 << 16)
-		x = 4
-	)
-	pr := model.Params{N: n, X: x, P: 0.5}
-	part, err := partition.New(partition.KindRRP, n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := transport.NewLocalGroup(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := newEngine(g.Endpoint(0), Options{
-		Params:  pr,
-		Part:    part,
-		Seed:    1,
-		Workers: 4,
-		Sink:    func(int, graph.Edge) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.bootstrap()
-	// Settle the whole F table so copy sources resolve immediately, then
-	// drive the last worker's block (its sources span every shard, so
-	// cross-shard atomic reads are on the measured path).
-	for i := range e.f {
-		if e.f[i] < 0 {
-			e.f[i] = 0
-		}
-	}
-	w := e.workers[e.nw-1]
-	lo := w.lo + e.x64 + 1
-	if lo >= w.hi {
-		b.Fatalf("worker block [%d,%d) too small", w.lo, w.hi)
-	}
-
-	t := lo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if t >= w.hi {
-			t = lo
-		}
-		base := e.slot(t, 0)
-		for j := int64(0); j < e.x64; j++ {
-			e.f[base+j] = -1
-		}
-		w.genNode(t)
-		if w.err != nil {
-			b.Fatal(w.err)
+		e.genNode(t)
+		if e.err != nil {
+			b.Fatal(e.err)
 		}
 		t++
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // The tentpole invariant: the hub-prefix cache changes traffic, never
-// output. For every partition scheme, rank count and worker count, the
+// output. For every partition scheme and rank count, the
 // edge list with the cache off, auto-sized, and at a fixed size must be
 // identical element for element (a replica hit returns the same
 // immutable value a round trip would).
@@ -34,42 +34,37 @@ func TestHubCacheOutputInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			run := func(hub int64) *Result {
-				res, err := Run(Options{
-					Params: pr, Part: part, Seed: 9,
-					Workers: workers, HubPrefix: hub,
-				}, false)
-				if err != nil {
-					t.Fatalf("%v ranks=%d workers=%d hub=%d: %v", tc.kind, tc.ranks, workers, hub, err)
-				}
-				return res
+		run := func(hub int64) *Result {
+			res, err := Run(Options{Params: pr, Part: part, Seed: 9, HubPrefix: hub}, false)
+			if err != nil {
+				t.Fatalf("%v ranks=%d hub=%d: %v", tc.kind, tc.ranks, hub, err)
 			}
-			base := run(-1)
-			for _, hub := range []int64{0, 64} {
-				res := run(hub)
-				label := tc.kind.String() + " ranks/workers/hub matrix"
-				equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
-				var hits, pubSent, pubRecv int64
-				for _, st := range res.Ranks {
-					hits += st.HubCacheHits
-					pubSent += st.Comm.PublishSent
-					pubRecv += st.Comm.PublishRecv
+			return res
+		}
+		base := run(-1)
+		for _, hub := range []int64{0, 64} {
+			res := run(hub)
+			label := tc.kind.String() + " ranks/hub matrix"
+			equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
+			var hits, pubSent, pubRecv int64
+			for _, st := range res.Ranks {
+				hits += st.HubCacheHits
+				pubSent += st.Comm.PublishSent
+				pubRecv += st.Comm.PublishRecv
+			}
+			if tc.ranks > 1 {
+				if hits == 0 {
+					t.Errorf("%v ranks=%d hub=%d: cache never hit", tc.kind, tc.ranks, hub)
 				}
-				if tc.ranks > 1 {
-					if hits == 0 {
-						t.Errorf("%v ranks=%d workers=%d hub=%d: cache never hit", tc.kind, tc.ranks, workers, hub)
-					}
-					// Fences trail publishes on each pairwise FIFO channel
-					// and a rank only exits after collecting every fence, so
-					// at run end no publish is in flight.
-					if pubSent != pubRecv {
-						t.Errorf("%v ranks=%d workers=%d hub=%d: %d publishes sent, %d received",
-							tc.kind, tc.ranks, workers, hub, pubSent, pubRecv)
-					}
-				} else if hits != 0 || pubSent != 0 {
-					t.Errorf("single rank engaged the cache: hits=%d publishes=%d", hits, pubSent)
+				// Fences trail publishes on each pairwise FIFO channel
+				// and a rank only exits after collecting every fence, so
+				// at run end no publish is in flight.
+				if pubSent != pubRecv {
+					t.Errorf("%v ranks=%d hub=%d: %d publishes sent, %d received",
+						tc.kind, tc.ranks, hub, pubSent, pubRecv)
 				}
+			} else if hits != 0 || pubSent != 0 {
+				t.Errorf("single rank engaged the cache: hits=%d publishes=%d", hits, pubSent)
 			}
 		}
 	}
@@ -90,7 +85,7 @@ func TestHubCacheNodeLoadSplit(t *testing.T) {
 	run := func(hub int64) *Result {
 		res, err := Run(Options{
 			Params: pr, Part: part, Seed: 21,
-			Workers: 2, HubPrefix: hub, CollectNodeLoad: true,
+			HubPrefix: hub, CollectNodeLoad: true,
 		}, false)
 		if err != nil {
 			t.Fatalf("hub=%d: %v", hub, err)
@@ -350,29 +345,26 @@ func TestHubCacheMismatchedSettingsError(t *testing.T) {
 	}
 }
 
-// Replica internals: installs are idempotent (any interleaving of a
-// publish and a wire answer writes the owner's single value), and the
-// publish fan-out follows the request matrix — strictly lower-triangular
-// under contiguous partitions, full mesh under round-robin.
+// Replica internals: a duplicated publish installs the owner's single
+// value again (any interleaving of a publish and a wire answer is
+// harmless), and the publish fan-out follows the request matrix —
+// strictly lower-triangular under contiguous partitions, full mesh
+// under round-robin.
 func TestHubCacheInstallIdempotentAndPeers(t *testing.T) {
-	c := newHubCache(4, 3, false)
-	if got := c.slots(); got != 12 {
+	e := &engine{x64: 3, hub: newHubCache(4, 3)}
+	if got := e.hub.slots(); got != 12 {
 		t.Fatalf("slots() = %d, want 12", got)
 	}
-	if v := c.get(7); v != -1 {
+	if v := e.hub.f[7]; v != -1 {
 		t.Fatalf("fresh slot reads %d, want -1", v)
 	}
-	c.install(7, 42)
-	c.install(7, 42)
-	if v := c.get(7); v != 42 {
-		t.Fatalf("doubly installed slot reads %d, want 42", v)
+	for i := 0; i < 2; i++ {
+		if err := e.applyPublish(msg.Publish(2, 1, 42)); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	cc := newHubCache(4, 3, true)
-	cc.install(5, 9)
-	cc.install(5, 9)
-	if v := cc.get(5); v != 9 {
-		t.Fatalf("concurrent replica reads %d, want 9", v)
+	if v := e.hub.f[7]; v != 42 {
+		t.Fatalf("doubly published slot reads %d, want 42", v)
 	}
 
 	ucp, err := partition.New(partition.KindUCP, 1000, 4)
@@ -409,7 +401,7 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 		}
 		return part
 	}
-	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: 0}, false)
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 19, HubPrefix: 0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +413,7 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	for every := int64(500); every >= 50; every /= 2 {
 		dir = t.TempDir()
 		if _, err := Run(Options{
-			Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: 0,
+			Params: pr, Part: newPart(), Seed: 19, HubPrefix: 0,
 			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 1000},
 		}, false); err != nil {
 			t.Fatal(err)
@@ -438,7 +430,7 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	}
 
 	res, err := Run(Options{
-		Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: 0,
+		Params: pr, Part: newPart(), Seed: 19, HubPrefix: 0,
 		Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true},
 	}, false)
 	if err != nil {
@@ -461,7 +453,7 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	// the cut — degrades cleanly to identical output. Both are correct;
 	// a hang or divergent output is not.
 	res, err = Run(Options{
-		Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: -1,
+		Params: pr, Part: newPart(), Seed: 19, HubPrefix: -1,
 		Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true},
 	}, false)
 	if err != nil {
@@ -470,40 +462,5 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 		}
 	} else {
 		equalEdges(t, "resume with cache off", res.Graph.Edges, base.Graph.Edges)
-	}
-}
-
-// Regression for the worker scratch-buffer boundary: sendData must store
-// the append result before the flush-path early return (append may have
-// grown the backing array; dropping it left w.scratch[to] aliasing the
-// stale smaller one). Publishes fan out to every peer through sendData,
-// so a concurrent multi-rank run with the cache on crosses the
-// workerScratchCap boundary on every destination many times; any lost or
-// doubled message shows up as a wrong edge list or a hang.
-func TestWorkerScratchCapBoundary(t *testing.T) {
-	pr := model.Params{N: 20_000, X: 4, P: 0.5}
-	part, err := partition.New(partition.KindRRP, pr.N, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, hub := range []int64{-1, 0} {
-		base, err := Run(Options{Params: pr, Part: part, Seed: 23, Workers: 1, HubPrefix: hub}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Options{Params: pr, Part: part, Seed: 23, Workers: 4, HubPrefix: hub}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalEdges(t, "scratch boundary", res.Graph.Edges, base.Graph.Edges)
-		var reqs int64
-		for _, st := range res.Ranks {
-			reqs += st.Comm.RequestsSent
-		}
-		// Sanity: enough per-destination traffic that the 64-message
-		// scratch flush fired constantly.
-		if reqs < 10*workerScratchCap {
-			t.Fatalf("only %d requests crossed the wire; the scratch path was barely exercised", reqs)
-		}
 	}
 }

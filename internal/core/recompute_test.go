@@ -13,10 +13,10 @@ import (
 )
 
 // The tentpole invariant: recomputation changes traffic, never output.
-// For every rank count, worker count and hub setting, the edge list
-// under -resolve=recompute must equal the wire-protocol edge list
-// element for element (a replayed value is the same pure function of
-// (n, x, p, seed) the owner computes).
+// For every rank count and hub setting, the edge list under
+// -resolve=recompute must equal the wire-protocol edge list element for
+// element (a replayed value is the same pure function of (n, x, p,
+// seed) the owner computes).
 func TestRecomputeOutputInvariance(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	for _, ranks := range []int{1, 2, 4} {
@@ -24,41 +24,38 @@ func TestRecomputeOutputInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			for _, hub := range []int64{-1, 0} {
-				run := func(mode ResolveMode) *Result {
-					res, err := Run(Options{
-						Params: pr, Part: part, Seed: 9,
-						Workers: workers, HubPrefix: hub, Resolve: mode,
-					}, false)
-					if err != nil {
-						t.Fatalf("ranks=%d workers=%d hub=%d mode=%v: %v", ranks, workers, hub, mode, err)
-					}
-					return res
+		for _, hub := range []int64{-1, 0} {
+			run := func(mode ResolveMode) *Result {
+				res, err := Run(Options{
+					Params: pr, Part: part, Seed: 9, HubPrefix: hub, Resolve: mode,
+				}, false)
+				if err != nil {
+					t.Fatalf("ranks=%d hub=%d mode=%v: %v", ranks, hub, mode, err)
 				}
-				wire := run(ResolveWire)
-				rc := run(ResolveRecompute)
-				equalEdges(t, "resolve mode matrix", rc.Graph.Edges, wire.Graph.Edges)
+				return res
+			}
+			wire := run(ResolveWire)
+			rc := run(ResolveRecompute)
+			equalEdges(t, "resolve mode matrix", rc.Graph.Edges, wire.Graph.Edges)
 
-				var wireMsgs, rcMsgs, resolved int64
-				for i, st := range rc.Ranks {
-					rcMsgs += st.Comm.RequestsSent + st.Comm.ResolvedSent
-					wireMsgs += wire.Ranks[i].Comm.RequestsSent + wire.Ranks[i].Comm.ResolvedSent
-					resolved += st.RecomputeResolved
+			var wireMsgs, rcMsgs, resolved int64
+			for i, st := range rc.Ranks {
+				rcMsgs += st.Comm.RequestsSent + st.Comm.ResolvedSent
+				wireMsgs += wire.Ranks[i].Comm.RequestsSent + wire.Ranks[i].Comm.ResolvedSent
+				resolved += st.RecomputeResolved
+			}
+			if ranks == 1 {
+				if resolved != 0 {
+					t.Errorf("single rank replayed %d chains; everything is local", resolved)
 				}
-				if ranks == 1 {
-					if resolved != 0 {
-						t.Errorf("single rank replayed %d chains; everything is local", resolved)
-					}
-					continue
-				}
-				if resolved == 0 {
-					t.Errorf("ranks=%d workers=%d hub=%d: recompute mode never replayed a chain", ranks, workers, hub)
-				}
-				if rcMsgs >= wireMsgs {
-					t.Errorf("ranks=%d workers=%d hub=%d: recompute sent %d data msgs, wire sent %d — no reduction",
-						ranks, workers, hub, rcMsgs, wireMsgs)
-				}
+				continue
+			}
+			if resolved == 0 {
+				t.Errorf("ranks=%d hub=%d: recompute mode never replayed a chain", ranks, hub)
+			}
+			if rcMsgs >= wireMsgs {
+				t.Errorf("ranks=%d hub=%d: recompute sent %d data msgs, wire sent %d — no reduction",
+					ranks, hub, rcMsgs, wireMsgs)
 			}
 		}
 	}
@@ -73,13 +70,13 @@ func TestRecomputeDepthCapFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := Run(Options{Params: pr, Part: part, Seed: 13, Workers: 2, HubPrefix: -1}, false)
+	wire, err := Run(Options{Params: pr, Part: part, Seed: 13, HubPrefix: -1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, depth := range []int{1, 2, 64} {
 		res, err := Run(Options{
-			Params: pr, Part: part, Seed: 13, Workers: 2, HubPrefix: -1,
+			Params: pr, Part: part, Seed: 13, HubPrefix: -1,
 			Resolve: ResolveRecompute, RecomputeDepth: depth,
 		}, false)
 		if err != nil {
@@ -174,7 +171,7 @@ func TestRecomputeKillResume(t *testing.T) {
 		return part
 	}
 	opts := func() Options {
-		return Options{Params: pr, Part: newPart(), Seed: 19, Workers: 2,
+		return Options{Params: pr, Part: newPart(), Seed: 19,
 			HubPrefix: -1, Resolve: ResolveRecompute, RecomputeDepth: 3}
 	}
 	base, err := Run(opts(), false)

@@ -32,8 +32,8 @@ func RunToShards(opts Options, dir string) (*Result, error) {
 	p := opts.Part.P()
 
 	// One streaming writer per rank: the sink dispatches on rank, and
-	// the writer locks internally because a rank's workers emit
-	// concurrently. Each shard file carries the magic + node count
+	// each rank calls it from its own goroutine only, so a writer needs
+	// no lock. Each shard file carries the magic + node count
 	// header up-front and a placeholder edge count that is rewritten on
 	// close (count is unknown until the run ends).
 	writers := make([]*shardWriter, p)
@@ -77,10 +77,8 @@ func RunToShards(opts Options, dir string) (*Result, error) {
 // shardWriter streams edges of one rank to disk. The binary format must
 // match graph.WriteBinary exactly, but the edge count is only known at
 // the end, so it writes a fixed-width 10-byte uvarint placeholder and
-// patches it on close. append is safe for concurrent use (a rank's
-// worker goroutines share the writer).
+// patches it on close. A writer belongs to one rank's goroutine.
 type shardWriter struct {
-	mu       sync.Mutex
 	f        *os.File
 	bw       *bufio.Writer
 	countOff int64
@@ -131,8 +129,6 @@ func encodeFixedUvarint(x uint64) []byte {
 }
 
 func (w *shardWriter) append(e graph.Edge) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
@@ -147,8 +143,6 @@ func (w *shardWriter) append(e graph.Edge) {
 }
 
 func (w *shardWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err == nil {
 		w.err = w.bw.Flush()
 	}

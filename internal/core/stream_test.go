@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,11 +39,14 @@ func streamEdges(t *testing.T, dir string, ranks int) []graph.Edge {
 }
 
 // The core streaming property: a run with StreamDir set produces, after
-// the shard merge, exactly the edge list the in-memory path produces —
-// across rank counts, worker counts, and tiny block sizes that force
-// many partial sorted blocks per shard.
+// the shard merge, exactly the edge list the in-memory path produces.
+// Each subtest first resumes a streamed snapshot the multi-worker engine
+// wrote at ranks × workers (testdata/v5-workers-stream: its epoch-1
+// checkpoint and the shard prefix that epoch made durable), then
+// re-runs from scratch into the same directory with tiny blocks that
+// force many partial sorted blocks per shard.
 func TestStreamMatchesInMemory(t *testing.T) {
-	pr := model.Params{N: 8_000, X: 2, P: 0.5}
+	pr := model.Params{N: 1_500, X: 2, P: 0.5}
 	for _, ranks := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("ranks=%d_workers=%d", ranks, workers), func(t *testing.T) {
@@ -50,35 +54,35 @@ func TestStreamMatchesInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, err := Run(Options{Params: pr, Part: part, Seed: 21, Workers: workers}, false)
+				base, err := Run(Options{Params: pr, Part: part, Seed: 21}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dir := t.TempDir()
-				res, err := Run(Options{
-					Params: pr, Part: part, Seed: 21, Workers: workers,
+				fix := workerFixture(t, "v5-workers-stream", ranks, workers, "ckpt")
+				dir := filepath.Join(fix, "stream")
+				res := runWithin(t, Options{
+					Params: pr, Part: part, Seed: 21,
 					StreamDir: dir, StreamBlockEdges: 512,
+					Checkpoint: &CheckpointOptions{Dir: filepath.Join(fix, "ckpt"), Resume: true},
+				})
+				if res.Graph != nil {
+					t.Fatal("streamed run returned an in-memory graph")
+				}
+				equalEdges(t, t.Name()+"/resumed", streamEdges(t, dir, ranks), base.Graph.Edges)
+
+				// Re-running into the same directory must discard the
+				// stale shards (Reset) and reproduce the same output.
+				res, err = Run(Options{
+					Params: pr, Part: part, Seed: 21,
+					StreamDir: dir, StreamBlockEdges: 64,
 				}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Graph != nil {
-					t.Fatal("streamed run returned an in-memory graph")
-				}
 				for _, st := range res.Ranks {
-					if st.SinkBlocks < 1 || st.SinkBytes <= 0 {
-						t.Fatalf("rank %d: blocks=%d bytes=%d, want positive", st.Rank, st.SinkBlocks, st.SinkBytes)
+					if st.SinkBlocks < 2 || st.SinkBytes <= 0 {
+						t.Fatalf("rank %d: blocks=%d bytes=%d, want several blocks", st.Rank, st.SinkBlocks, st.SinkBytes)
 					}
-				}
-				equalEdges(t, t.Name(), streamEdges(t, dir, ranks), base.Graph.Edges)
-
-				// Re-running into the same directory must discard the
-				// stale shards (Reset) and reproduce the same output.
-				if _, err := Run(Options{
-					Params: pr, Part: part, Seed: 21, Workers: workers,
-					StreamDir: dir, StreamBlockEdges: 512,
-				}, false); err != nil {
-					t.Fatal(err)
 				}
 				equalEdges(t, t.Name()+"/rerun", streamEdges(t, dir, ranks), base.Graph.Edges)
 			})
@@ -101,7 +105,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 				}
 				return part
 			}
-			base, err := Run(Options{Params: pr, Part: newPart(), Seed: 7, Workers: 2}, false)
+			base, err := Run(Options{Params: pr, Part: newPart(), Seed: 7}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +119,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 			for _, every := range []int64{2000, 1500, 1000, 500, 250, 2000, 1500, 1000, 500, 250} {
 				ckptDir, streamDir = t.TempDir(), t.TempDir()
 				if _, err := Run(Options{
-					Params: pr, Part: newPart(), Seed: 7, Workers: 2,
+					Params: pr, Part: newPart(), Seed: 7,
 					StreamDir: streamDir, StreamBlockEdges: 512,
 					Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: every, Keep: 1000},
 				}, false); err != nil {
@@ -134,9 +138,9 @@ func TestStreamCheckpointResume(t *testing.T) {
 			}
 			equalEdges(t, "uninterrupted streamed", streamEdges(t, streamDir, ranks), base.Graph.Edges)
 
-			resume := func(label string, workers int) {
+			resume := func(label string) {
 				res, err := Run(Options{
-					Params: pr, Part: newPart(), Seed: 7, Workers: workers,
+					Params: pr, Part: newPart(), Seed: 7,
 					StreamDir: streamDir, StreamBlockEdges: 512,
 					Checkpoint: &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true},
 				}, false)
@@ -164,11 +168,11 @@ func TestStreamCheckpointResume(t *testing.T) {
 				}
 			}
 
-			// Newest epoch, same and different worker counts.
+			// Newest epoch, then again over the resumed run's own shards.
 			top := epochs[len(epochs)-1]
 			tear()
-			resume(fmt.Sprintf("epoch %d workers=2", top), 2)
-			resume(fmt.Sprintf("epoch %d workers=1", top), 1)
+			resume(fmt.Sprintf("epoch %d", top))
+			resume(fmt.Sprintf("epoch %d again", top))
 
 			// Every earlier epoch, trimming snapshots as a crash at that
 			// epoch would have, tearing the shard tails each time.
@@ -179,7 +183,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 					}
 				}
 				tear()
-				resume(fmt.Sprintf("epoch %d", epochs[i]), 2)
+				resume(fmt.Sprintf("epoch %d", epochs[i]))
 			}
 
 			// With every snapshot gone, Resume must fall back to a fresh
@@ -189,7 +193,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			resume("empty dir fresh start", 2)
+			resume("empty dir fresh start")
 		})
 	}
 }
@@ -205,7 +209,7 @@ func TestStreamResumeModeMismatch(t *testing.T) {
 	}
 	run := func(streamDir, ckptDir string, resume bool) error {
 		_, err := Run(Options{
-			Params: pr, Part: part, Seed: 4, Workers: 1,
+			Params: pr, Part: part, Seed: 4,
 			StreamDir:  streamDir,
 			Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: 500, Resume: resume},
 		}, false)

@@ -8,8 +8,8 @@ package core
 // freed arena nodes, so the steady-state hot path allocates nothing once
 // the arena has reached its high-water size.
 //
-// Each worker owns one table for the slots of its node block, and only
-// that worker touches it, so no locking is needed. FIFO order within a
+// Each rank owns one table for its slots, and only the rank's goroutine
+// touches it, so no locking is needed. FIFO order within a
 // chain keeps answers in arrival order; the output graph no longer
 // depends on it (every retry draw comes from the waiting node's own
 // stream, so delivery order is immaterial), but it keeps wait-chain

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
@@ -14,44 +18,128 @@ import (
 	"pagen/internal/transport"
 )
 
-// edgeKey is a canonical edge for set comparison.
-type edgeKey struct{ u, v int64 }
+// The tests named for workers or stealing predate the one-goroutine-
+// per-rank engine. What they checked of a rank's own loop still holds
+// and is checked here; where they swept a worker count, the sweep now
+// runs over v5 snapshots that the multi-worker engine wrote at that
+// count, each holding one 'W' section per writer worker and resumed by
+// this engine. testdata/v5-workers/ranksR-workersW is an in-memory run
+// (n=1500, x=3, p=0.5, seed 11, RRP, hub cache auto);
+// testdata/v5-workers-stream/ranksR-workersW a streamed one (n=1500,
+// x=2, seed 21, 512-edge blocks) with its checkpoint in ckpt/ and its
+// shards in stream/, cut back to the epoch's durable mark. Each keeps
+// only epoch 1, a full snapshot; its interval was picked so that the
+// cut falls early (see workerFixture for what is checked).
 
-func edgeSet(t *testing.T, edges []graph.Edge) map[edgeKey]struct{} {
+// copyFixture copies the testdata tree under dir into a fresh temporary
+// directory — a resumed run writes into its checkpoint and stream
+// directories — and returns the copy's path.
+func copyFixture(t *testing.T, dir string) string {
 	t.Helper()
-	s := make(map[edgeKey]struct{}, len(edges))
-	for _, e := range edges {
-		c := e.Canonical()
-		k := edgeKey{c.U, c.V}
-		if _, dup := s[k]; dup {
-			t.Fatalf("duplicate edge (%d,%d)", c.U, c.V)
+	out := t.TempDir()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		s[k] = struct{}{}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(out, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(out, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copy fixture %s: %v", dir, err)
 	}
-	return s
+	return out
 }
 
-func sameEdgeSet(t *testing.T, label string, got []graph.Edge, want map[edgeKey]struct{}) {
+// workerFixture returns a private copy of the snapshot directory the
+// multi-worker engine wrote at ranks × workers under root, after
+// checking that it is what it claims: epoch 1 on every rank, with one
+// 'W' section per writer worker, at least a quarter of the rank's slots
+// still unresolved (the resume has real work left), and — with more
+// than one writer worker — pending records in two or more sections on
+// some rank, so the merge has something to merge. Every rank
+// materializing epoch 1 is also what makes the resume take it rather
+// than start fresh. sub names the checkpoint directory inside the
+// fixture ("" for the fixture itself).
+func workerFixture(t *testing.T, root string, ranks, workers int, sub string) string {
 	t.Helper()
-	gs := edgeSet(t, got)
-	if len(gs) != len(want) {
-		t.Fatalf("%s: %d edges, want %d", label, len(gs), len(want))
-	}
-	for k := range gs {
-		if _, ok := want[k]; !ok {
-			t.Fatalf("%s: edge (%d,%d) not in sequential output", label, k.u, k.v)
+	src := filepath.Join("testdata", root, fmt.Sprintf("ranks%d-workers%d", ranks, workers))
+	merged := false
+	for r := 0; r < ranks; r++ {
+		s, err := ckpt.Materialize(filepath.Join(src, sub), r, 1)
+		if err != nil {
+			t.Fatalf("fixture %s rank %d: %v", src, r, err)
 		}
+		if s.Meta.Ranks != ranks || len(s.Workers) != workers {
+			t.Fatalf("fixture %s rank %d: %d ranks, %d W sections; want %d, %d",
+				src, r, s.Meta.Ranks, len(s.Workers), ranks, workers)
+		}
+		unresolved := 0
+		for _, f := range s.F {
+			if f < 0 {
+				unresolved++
+			}
+		}
+		if 4*unresolved < len(s.F) {
+			t.Fatalf("fixture %s rank %d: %d of %d slots unresolved, want at least a quarter",
+				src, r, unresolved, len(s.F))
+		}
+		pending := 0
+		for _, w := range s.Workers {
+			if len(w.Susp)+len(w.Waiters)+len(w.Remote) > 0 {
+				pending++
+			}
+		}
+		merged = merged || pending >= 2
+	}
+	if workers > 1 && !merged {
+		t.Fatalf("fixture %s: no rank has pending records in two W sections", src)
+	}
+	return copyFixture(t, src)
+}
+
+// runWithin is Run with a time limit: a restore that lost pending
+// records leaves ranks waiting for answers that never come, and the
+// test should fail rather than hang.
+func runWithin(t *testing.T, opts Options) *Result {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(opts, false)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.res
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not finish within 30s")
+		return nil
 	}
 }
 
-// The headline determinism property of the worker-sharded engine: for
-// every (workers, ranks) combination the output edge set equals the
-// sequential copy model's, node for node. Per-node streams plus strict
-// per-node edge sequencing (suspension/resume) make the output a pure
-// function of (n, x, p, seed) — independent of worker count, rank
-// count, partition and message schedule.
+// The headline determinism property across engine generations: a run
+// the multi-worker engine checkpointed at any (ranks, workers) shape —
+// testdata/v5-workers, n=1500, x=3, p=0.5, seed 11, RRP — resumes here
+// to the sequential copy model's edge set. The restore merges the
+// writer's per-worker 'W' sections into the rank's single tables.
 func TestWorkersMatchSequential(t *testing.T) {
-	pr := model.Params{N: 12_000, X: 4, P: 0.5}
+	pr := model.Params{N: 1_500, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 11, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,23 +148,21 @@ func TestWorkersMatchSequential(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("ranks=%d/workers=%d", ranks, workers), func(t *testing.T) {
+				dir := workerFixture(t, "v5-workers", ranks, workers, "")
 				part, err := partition.New(partition.KindRRP, pr.N, ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(Options{Params: pr, Part: part, Seed: 11, Workers: workers}, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := runWithin(t, Options{Params: pr, Part: part, Seed: 11,
+					Checkpoint: &CheckpointOptions{Dir: dir, Resume: true}})
 				sameEdgeSet(t, t.Name(), res.Graph.Edges, want)
 			})
 		}
 	}
 }
 
-// Same property under every partition scheme at a fixed worker count —
-// the partition changes which rank (and worker) computes each node, and
-// the edge set must not notice.
+// Every partition scheme at 4 ranks: the partition changes which rank
+// computes each node, and the edge set must not notice.
 func TestWorkersAllSchemes(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 5, seq.CopyModelOptions{})
@@ -84,14 +170,13 @@ func TestWorkersAllSchemes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := edgeSet(t, sg.Edges)
-	kinds := []partition.Kind{partition.KindUCP, partition.KindLCP, partition.KindRRP, partition.KindExactCP}
-	for _, kind := range kinds {
+	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			part, err := partition.New(kind, pr.N, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(Options{Params: pr, Part: part, Seed: 5, Workers: 3}, false)
+			res, err := Run(Options{Params: pr, Part: part, Seed: 5}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,18 +185,50 @@ func TestWorkersAllSchemes(t *testing.T) {
 	}
 }
 
+// runChaos runs p ranks over endpoints of group, each wrapped in a
+// seeded delay-chaos transport (seedBase + rank), and returns the union
+// of their edges.
+func runChaos(t *testing.T, group interface {
+	Endpoint(int) transport.Transport
+}, p int, seedBase uint64, opts Options) []graph.Edge {
+	t.Helper()
+	results := make([]*RankResult, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
+				Seed:      seedBase + uint64(r),
+				DelayProb: 0.3,
+				MaxDelay:  500 * time.Microsecond,
+			})
+			defer tr.Close()
+			results[r], errs[r] = RunRank(tr, opts)
+		}(r)
+	}
+	wg.Wait()
+	var all []graph.Edge
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		all = append(all, results[r].Edges...)
+	}
+	return all
+}
+
 // Determinism must survive a hostile message schedule: a chaos transport
-// delaying 30% of frames reorders resolution arrivals across ranks and
-// workers, and the output must still be byte-for-byte the sequential
-// edge set.
+// delaying 30% of frames over the local (byte codec) group reorders
+// resolution arrivals across ranks, and the output must still be the
+// sequential edge set.
 func TestWorkersChaosDeterministic(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := edgeSet(t, sg.Edges)
-
 	const p = 4
 	part, err := partition.New(partition.KindRRP, pr.N, p)
 	if err != nil {
@@ -121,56 +238,83 @@ func TestWorkersChaosDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]*RankResult, p)
-	errs := make([]error, p)
-	done := make(chan int, p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
-				Seed:      900 + uint64(r),
-				DelayProb: 0.3,
-				MaxDelay:  500 * time.Microsecond,
-			})
-			results[r], errs[r] = RunRank(tr, Options{
-				Params: pr, Part: part, Seed: 9, Workers: 2,
-			})
-			done <- r
-		}(r)
-	}
-	var all []graph.Edge
-	for i := 0; i < p; i++ {
-		<-done
-	}
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatalf("rank %d: %v", r, errs[r])
-		}
-		all = append(all, results[r].Edges...)
-	}
-	sameEdgeSet(t, "chaos", all, want)
+	all := runChaos(t, group, p, 900, Options{Params: pr, Part: part, Seed: 9})
+	sameEdgeSet(t, "chaos", all, edgeSet(t, sg.Edges))
 }
 
-// The streaming sink contract: with workers > 1 the sink is called
-// concurrently from a rank's worker goroutines (run under -race this
-// checks the engine's side of the contract), and the streamed edges are
-// exactly the sequential edge set.
+// The same delay chaos over the shm group: chaos-wrapped endpoints hide
+// the SendMsgs fast path, so this runs the shm group's byte-codec
+// fallback, at 2 and 4 ranks.
+func TestStealChaosDelayWorkers(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := edgeSet(t, sg.Edges)
+	for _, p := range []int{2, 4} {
+		part, err := partition.New(partition.KindRRP, pr.N, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group, err := transport.NewShmGroup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := runChaos(t, group, p, uint64(700+10*p), Options{Params: pr, Part: part, Seed: 9})
+		sameEdgeSet(t, fmt.Sprintf("chaos ranks=%d", p), all, want)
+	}
+}
+
+// Hub publishes are the one drop-tolerated message class (requests fall
+// back to the wire), so losing all of them must still produce the
+// cache-off baseline's edges, rank for rank — at 2 and 4 ranks.
+func TestStealPublishDropWorkers(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	for _, p := range []int{2, 4} {
+		part, err := partition.New(partition.KindRRP, pr.N, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline, _ := runFiltered(t, Options{Params: pr, Part: part, Seed: 17, HubPrefix: -1}, p, false)
+		dropped, filters := runFiltered(t, Options{Params: pr, Part: part, Seed: 17, HubPrefix: 0}, p, false)
+		var lost int64
+		for r := 0; r < p; r++ {
+			equalEdges(t, fmt.Sprintf("drop ranks=%d rank=%d", p, r), dropped[r].Edges, baseline[r].Edges)
+			lost += filters[r].dropped
+		}
+		if lost == 0 {
+			t.Fatalf("ranks=%d: filter dropped no publishes; loss path unexercised", p)
+		}
+	}
+}
+
+// The streaming sink contract: the sink is called from the rank
+// goroutines only — concurrently across ranks, never within one (run
+// under -race this checks the engine's side) — and the streamed edges
+// are exactly the sequential edge set.
 func TestWorkersSinkConcurrent(t *testing.T) {
 	pr := model.Params{N: 8_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 21, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.New(partition.KindUCP, pr.N, 2)
+	const p = 2
+	part, err := partition.New(partition.KindUCP, pr.N, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var count int64
-	var sum int64
+	var count, sum int64
+	var inSink [p]int32
 	res, err := Run(Options{
-		Params: pr, Part: part, Seed: 21, Workers: 4,
+		Params: pr, Part: part, Seed: 21,
 		Sink: func(rank int, e graph.Edge) {
+			if atomic.AddInt32(&inSink[rank], 1) != 1 {
+				t.Errorf("rank %d: sink entered concurrently", rank)
+			}
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt64(&sum, e.U^(e.V<<1))
+			atomic.AddInt32(&inSink[rank], -1)
 		},
 	}, false)
 	if err != nil {
@@ -191,8 +335,8 @@ func TestWorkersSinkConcurrent(t *testing.T) {
 	}
 }
 
-// RunToShards with workers exercises the locked shard writer; the shards
-// must union to a valid graph with exactly M edges.
+// RunToShards at 2 ranks: the shards must union to a valid graph with
+// exactly M edges.
 func TestWorkersToShards(t *testing.T) {
 	pr := model.Params{N: 5_000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
@@ -200,7 +344,7 @@ func TestWorkersToShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "shards")
-	if _, err := RunToShards(Options{Params: pr, Part: part, Seed: 3, Workers: 4}, dir); err != nil {
+	if _, err := RunToShards(Options{Params: pr, Part: part, Seed: 3}, dir); err != nil {
 		t.Fatal(err)
 	}
 	g, err := graph.ReadShards(dir, 2)
@@ -215,37 +359,15 @@ func TestWorkersToShards(t *testing.T) {
 	}
 }
 
-// Adaptive polling (PollEvery == 0) must not change the output — only
-// the service schedule. Exercised at both 1 and >1 workers.
-func TestAdaptivePollEveryDeterministic(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 13, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := edgeSet(t, sg.Edges)
-	for _, workers := range []int{1, 3} {
-		part, err := partition.New(partition.KindUCP, pr.N, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Options{Params: pr, Part: part, Seed: 13, Workers: workers, PollEvery: 0}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEdgeSet(t, fmt.Sprintf("adaptive workers=%d", workers), res.Graph.Edges, want)
-	}
-}
-
-// Worker-count resolution: more workers than local nodes clamps instead
-// of spinning up empty shards, and stats still add up.
+// A graph barely larger than the rank count — ten nodes per rank —
+// still generates, and the per-rank stats add up.
 func TestWorkersClampAndStats(t *testing.T) {
 	pr := model.Params{N: 40, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Options{Params: pr, Part: part, Seed: 2, Workers: 64}, false)
+	res, err := Run(Options{Params: pr, Part: part, Seed: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +386,8 @@ func TestWorkersClampAndStats(t *testing.T) {
 	}
 }
 
-// Trace collection with workers: per-slot decisions land in the shared
-// trace without racing (disjoint slot ranges per worker), and the copy
+// Trace collection at 2 ranks: per-slot decisions land in the shared
+// trace without racing (disjoint slot ranges per rank), and the copy
 // fraction stays where p puts it.
 func TestWorkersTrace(t *testing.T) {
 	pr := model.Params{N: 8_000, X: 4, P: 0.5}
@@ -273,7 +395,7 @@ func TestWorkersTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Options{Params: pr, Part: part, Seed: 17, Workers: 4}, true)
+	res, err := Run(Options{Params: pr, Part: part, Seed: 17}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,11 @@
 // delta-encoded, CRC-protected blocks, written with bounded memory no
 // matter how large the run is (docs/SHARD_FORMAT.md is the byte spec).
 //
-// Workers emit edges as they resolve, tagged with the edge's canonical
+// A rank emits edges as they resolve, tagged with the edge's canonical
 // slot key (local node index times x plus edge index), which is unique
 // per rank and defines the canonical per-rank order — the exact order
-// the in-memory engine emits edges in. Emission order is nondeterministic
-// under concurrency, so the writer buffers a fixed number of records,
+// the in-memory engine emits edges in. Emission order follows the
+// message schedule instead, so the writer buffers a fixed number of records,
 // sorts each block by key at flush, and the reader k-way-merges the
 // sorted blocks back into canonical order. Merging the per-rank streams
 // rank-major therefore reproduces the in-memory merged graph byte for
@@ -103,8 +103,9 @@ type rec struct {
 }
 
 // Writer appends sorted, CRC-protected edge blocks to one rank's shard
-// file. Emit is safe for concurrent use by the rank's workers; all
-// other methods belong to the rank's coordinator goroutine. Exactly one
+// file. Emit and the other methods belong to the rank's goroutine,
+// except Sync, which the rank's background checkpoint writer calls
+// concurrently; the lock covers that overlap. Exactly one
 // of Reset or Recover must be called before the first Emit.
 type Writer struct {
 	mu   sync.Mutex

@@ -1,7 +1,7 @@
 // Package jobqueue is the scheduling core of the pa-serve control
 // plane: a multi-tenant queue of generation jobs packed onto an elastic
 // pool of rank slots. Each job is one (n, x, p, seed, scheme, ranks,
-// workers, resolve, hub-prefix) parameterization of the generator; the
+// resolve, hub-prefix) parameterization of the generator; the
 // queue admits jobs FIFO with backfill (a small job may start ahead of
 // a blocked larger one) bounded by an aging reservation (a job starved
 // past ReserveAfter freezes admission so freed slots drain to it —
@@ -82,9 +82,10 @@ type Spec struct {
 	// Ranks is the number of rank processes (slots) the job occupies
 	// while running (default 1; at most the pool's slot count).
 	Ranks int `json:"ranks,omitempty"`
-	// Workers is the generation goroutines per rank (default 1 — the
-	// service packs jobs, so oversubscription is the queue's job, not
-	// the runtime's).
+	// Workers is accepted and ignored: every rank is one goroutine.
+	//
+	// Deprecated: kept so existing specs and callers keep working; it
+	// will be removed.
 	Workers int `json:"workers,omitempty"`
 	// Resolve is the non-local dependency resolution mode: "wire" or
 	// "recompute" (default wire).
@@ -124,9 +125,6 @@ func (s *Spec) normalize() error {
 	if s.Ranks == 0 {
 		s.Ranks = 1
 	}
-	if s.Workers == 0 {
-		s.Workers = 1
-	}
 	if s.Resolve == "" {
 		s.Resolve = core.ResolveWire.String()
 	}
@@ -140,8 +138,8 @@ func (s *Spec) normalize() error {
 	if err := pr.Validate(); err != nil {
 		return err
 	}
-	if s.Ranks < 0 || s.Workers < 0 {
-		return fmt.Errorf("ranks (%d) and workers (%d) must be positive", s.Ranks, s.Workers)
+	if s.Ranks < 0 {
+		return fmt.Errorf("ranks (%d) must be positive", s.Ranks)
 	}
 	kind, err := partition.ParseKind(s.Scheme)
 	if err != nil {

@@ -99,7 +99,6 @@ func rankArgs(job JobInfo, addrs []string, rank int, resume bool) []string {
 		"-p", strconv.FormatFloat(s.P, 'g', -1, 64),
 		"-scheme", s.Scheme,
 		"-seed", strconv.FormatUint(s.Seed, 10),
-		"-workers", strconv.Itoa(s.Workers),
 		"-hub-prefix", strconv.FormatInt(s.HubPrefix, 10),
 		"-resolve", s.Resolve,
 		"-recompute-depth", strconv.Itoa(s.RecomputeDepth),
@@ -235,7 +234,6 @@ func (InProcessRunner) Run(ctx context.Context, job JobInfo, resume bool) error 
 		Params:         model.Params{N: s.N, X: s.X, P: s.P},
 		Part:           part,
 		Seed:           s.Seed,
-		Workers:        s.Workers,
 		HubPrefix:      s.HubPrefix,
 		Resolve:        mode,
 		RecomputeDepth: s.RecomputeDepth,

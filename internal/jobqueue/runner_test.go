@@ -55,6 +55,7 @@ func TestPortAllocHost(t *testing.T) {
 
 // TestRankArgs pins the exact pa-tcp invocation ProcessRunner uses, so
 // a pa-tcp flag rename breaks this test rather than production jobs.
+// The deprecated Workers field is ignored: no -workers flag is passed.
 func TestRankArgs(t *testing.T) {
 	spec := Spec{
 		N: 50000, X: 4, P: 0.25, Seed: 99, Scheme: "CP", Ranks: 2,
@@ -73,7 +74,6 @@ func TestRankArgs(t *testing.T) {
 		"-p", "0.25",
 		"-scheme", "CP",
 		"-seed", "99",
-		"-workers", "3",
 		"-hub-prefix", "128",
 		"-resolve", "recompute",
 		"-recompute-depth", "7",
@@ -155,7 +155,6 @@ func TestInProcessRunnerEndToEnd(t *testing.T) {
 		Params:    model.Params{N: n, X: x, P: model.DefaultP},
 		Part:      part,
 		Seed:      seed,
-		Workers:   2,
 		StreamDir: refDir,
 	}, false); err != nil {
 		t.Fatalf("reference run: %v", err)

@@ -83,14 +83,15 @@ const (
 	// CkptProbe (rank 0 -> all) starts counter round L: report again
 	// when locally quiescent.
 	CkptProbe
-	// CkptCut (rank 0 -> all, itself included) declares global
-	// quiescence for epoch K: capture the snapshot, then resume.
+	// CkptCut is the cut marker for epoch K, sent by rank 0 to every
+	// rank (itself included) when it declares global quiescence, and by
+	// every other rank to each peer as it captures: a rank captures its
+	// snapshot at the first marker it receives, then resumes.
 	CkptCut
 	// CkptVote (any -> rank 0) is the sender's asynchronous commit vote
-	// for epoch K (V = 1 captured, 0 failed), sent at its cut just
-	// before generation resumes. Rank 0 tallies votes off the pause
-	// path; per-destination FIFO ordering guarantees a rank's vote for
-	// epoch K precedes anything it sends about epoch K+1.
+	// for epoch K (V = 1 captured, 0 failed), sent once the sender has
+	// captured and received every peer's marker. Rank 0 tallies votes
+	// off the pause path and opens no new epoch while a tally is open.
 	CkptVote
 	// CkptAbandon (rank 0 -> others) declares epoch K abandoned: some
 	// rank voted 0 (capture or latched background-write failure).

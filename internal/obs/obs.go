@@ -64,9 +64,9 @@ func (h *Histogram) Observe(v int64) {
 	h.Buckets[bits.Len64(uint64(v))]++
 }
 
-// Merge folds another histogram into h — the per-worker counter merge:
-// each worker observes into its own histogram on the hot path and the
-// rank combines them once at the end, so observation never contends.
+// Merge folds another histogram into h: each rank observes into its own
+// histogram on the hot path and the run combines them once at the end,
+// so observation never contends.
 func (h *Histogram) Merge(o Histogram) {
 	h.Count += o.Count
 	h.Sum += o.Sum

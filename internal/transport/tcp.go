@@ -89,7 +89,7 @@ type TCP struct {
 	rank  int
 	addrs []string
 	cfg   TCPConfig
-	inbox *mailbox
+	mail  *mailbox
 
 	mu       sync.Mutex
 	conns    []net.Conn // index by peer rank; nil for self
@@ -123,7 +123,7 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 		rank:     rank,
 		addrs:    addrs,
 		cfg:      cfg,
-		inbox:    newMailbox(),
+		mail:     newMailbox(),
 		conns:    make([]net.Conn, p),
 		outboxes: make([]*mailbox, p),
 	}
@@ -270,7 +270,7 @@ func (t *TCP) isClosed() bool {
 }
 
 // fail latches the first unexpected connection failure and wakes any
-// blocked Recv by closing the inbox (frames already queued are still
+// blocked Recv by closing the mailbox (frames already queued are still
 // delivered first). During a graceful Close connection errors are
 // expected and ignored.
 func (t *TCP) fail(peer int, err error) {
@@ -283,7 +283,7 @@ func (t *TCP) fail(peer int, err error) {
 		t.failure = fmt.Errorf("transport: connection to rank %d lost: %w", peer, err)
 	}
 	t.mu.Unlock()
-	t.inbox.close()
+	t.mail.close()
 }
 
 // Err returns the latched connection failure, or nil while every peer
@@ -332,7 +332,7 @@ func (t *TCP) readLoop(peer int) {
 			t.fail(peer, err)
 			return
 		}
-		if t.inbox.push(Frame{From: peer, Data: data}) != nil {
+		if t.mail.push(Frame{From: peer, Data: data}) != nil {
 			return
 		}
 	}
@@ -373,7 +373,7 @@ func (t *TCP) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return len(t.addrs) }
 
-// Send implements Transport. Self-sends loop back through the inbox.
+// Send implements Transport. Self-sends loop back through the mailbox.
 // After a connection failure has been latched, Send reports it so the
 // engine stops generating instead of queueing frames no one will read.
 func (t *TCP) Send(to int, data []byte) error {
@@ -384,7 +384,7 @@ func (t *TCP) Send(to int, data []byte) error {
 		return err
 	}
 	if to == t.rank {
-		return t.inbox.push(Frame{From: t.rank, Data: data})
+		return t.mail.push(Frame{From: t.rank, Data: data})
 	}
 	return t.outboxes[to].push(Frame{From: t.rank, Data: data})
 }
@@ -393,7 +393,7 @@ func (t *TCP) Send(to int, data []byte) error {
 // graceful Close, the already-received frames drain first and then Recv
 // returns the connection-lost error.
 func (t *TCP) Recv() (Frame, error) {
-	f, ok, err := t.inbox.pop(true)
+	f, ok, err := t.mail.pop(true)
 	if err != nil {
 		if ferr := t.Err(); ferr != nil {
 			return Frame{}, ferr
@@ -411,7 +411,7 @@ func (t *TCP) Recv() (Frame, error) {
 
 // TryRecv implements Transport.
 func (t *TCP) TryRecv() (Frame, bool, error) {
-	f, ok, err := t.inbox.pop(false)
+	f, ok, err := t.mail.pop(false)
 	if err != nil {
 		if ferr := t.Err(); ferr != nil {
 			return Frame{}, false, ferr
@@ -463,7 +463,7 @@ func (t *TCP) Abort() {
 			ob.close()
 		}
 	}
-	t.inbox.close()
+	t.mail.close()
 	t.writers.Wait()
 	t.readers.Wait()
 }
@@ -487,7 +487,7 @@ func (t *TCP) shutdown() error {
 		c.Write(goodbye[:]) // best effort; the peer may already be gone
 		c.Close()
 	}
-	t.inbox.close()
+	t.mail.close()
 	t.readers.Wait()
 	return nil
 }

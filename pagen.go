@@ -81,10 +81,10 @@ type Config struct {
 	// Ranks is the number of parallel processors to simulate
 	// (default 1).
 	Ranks int
-	// Workers is the number of generation goroutines per rank. Zero or
-	// negative selects runtime.GOMAXPROCS(0); the engine clamps it to
-	// the rank's local node count. Output is byte-identical across
-	// worker counts.
+	// Workers is accepted and ignored: every rank is one goroutine.
+	//
+	// Deprecated: ranks no longer split into worker goroutines; run more
+	// Ranks instead. The field is kept only so existing callers compile.
 	Workers int
 	// Transport selects how co-located ranks exchange message batches:
 	// "shm" (the default; batches move between rank goroutines by
@@ -101,7 +101,7 @@ type Config struct {
 	// BufferCap is the per-destination message-buffer capacity
 	// (0 = default; 1 disables buffering).
 	BufferCap int
-	// PollEvery is the generation-loop inbox polling interval. Zero or
+	// PollEvery is the generation-loop transport polling interval. Zero or
 	// negative selects adaptive polling: the engine starts at the
 	// default interval and retunes it against the observed pending-wait
 	// depth. A positive value fixes the interval.
@@ -245,7 +245,6 @@ func Generate(cfg Config) (*Result, error) {
 		Params:           pr,
 		Part:             part,
 		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
 		Transport:        cfg.Transport,
 		BufferCap:        cfg.BufferCap,
 		PollEvery:        cfg.PollEvery,
@@ -311,11 +310,10 @@ func NewPartition(scheme string, n int64, ranks int) (Partition, error) {
 
 // GenerateStream runs the parallel generator but streams every finalised
 // edge to sink instead of materialising the graph — the paper's
-// "generate on the fly and analyze without disk I/O" mode. sink is
-// called concurrently from rank goroutines — and, with Workers > 1,
-// from the worker goroutines within a rank (rank identifies the calling
-// rank, not the worker) — so it must be safe for fully concurrent use;
-// dispatching on rank alone is only enough at Workers <= 1. The
+// "generate on the fly and analyze without disk I/O" mode. Each rank
+// calls sink from its own goroutine only (rank identifies the caller),
+// and ranks run concurrently: state shared across ranks must be safe
+// for concurrent use, while state indexed by rank needs no locking. The
 // returned Result has a nil Graph; per-rank stats are still collected.
 func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 	if cfg.checkpoint() != nil {
@@ -337,7 +335,6 @@ func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 		Params:         pr,
 		Part:           part,
 		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
 		Transport:      cfg.Transport,
 		BufferCap:      cfg.BufferCap,
 		PollEvery:      cfg.PollEvery,
@@ -372,7 +369,6 @@ func GenerateToShards(cfg Config, dir string) (*Result, error) {
 		Params:         pr,
 		Part:           part,
 		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
 		Transport:      cfg.Transport,
 		BufferCap:      cfg.BufferCap,
 		PollEvery:      cfg.PollEvery,
@@ -517,17 +513,22 @@ func MemoryEstimate(cfg Config) int64 {
 		return 0
 	}
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
-	est := slots * 8       // F tables
-	est += pr.M() * 16     // edge storage
-	est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
+	est := slots * 8 // F tables
 	if cfg.RecordTrace {
 		est += slots * 13
 	}
-	ranks := cfg.Ranks
-	if ranks < 1 {
-		ranks = 1
+	ranks := int64(max(cfg.Ranks, 1))
+	if cfg.StreamDir != "" {
+		block := int64(cfg.StreamBlockEdges)
+		if block <= 0 {
+			block = esink.DefaultBlockEdges
+		}
+		est += ranks * block * 16 // one open block per rank
+	} else {
+		est += pr.M() * 16     // edge storage
+		est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
 	}
-	est += int64(ranks) * 1 << 16 // buffers, per-rank bookkeeping
+	est += ranks * 1 << 16 // buffers, per-rank bookkeeping
 	return est
 }
 

@@ -176,6 +176,15 @@ func TestMemoryEstimate(t *testing.T) {
 	if MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 8, RecordTrace: true}) <= base {
 		t.Fatal("trace not accounted")
 	}
+	// Streaming drops the edge terms: below the in-memory estimate, and
+	// growing with the per-rank open block.
+	streamed := MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 8, StreamDir: "shards"})
+	if streamed <= 0 || streamed >= base {
+		t.Fatalf("streamed estimate %d, want in (0, %d)", streamed, base)
+	}
+	if MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 8, StreamDir: "shards", StreamBlockEdges: 1 << 20}) <= streamed {
+		t.Fatal("streamed estimate not monotone in StreamBlockEdges")
+	}
 	// Invalid config estimates 0.
 	if MemoryEstimate(Config{N: 2, X: 5}) != 0 {
 		t.Fatal("invalid config estimated nonzero")

@@ -66,7 +66,7 @@ done
 # ---- Phase 1: kill a rank mid-job; the queue must respawn, not fail.
 RN=${RN:-800000}
 echo "loadtest: phase 1 — crash/resume (n=$RN, 2 ranks)"
-big=$(client submit -n "$RN" -x 3 -seed 7 -job-ranks 2 -job-workers 2 -ckpt-every 60000)
+big=$(client submit -n "$RN" -x 3 -seed 7 -job-ranks 2 -ckpt-every 60000)
 ckdir="$workdir/data/jobs/$big/ck"
 
 polls=0
@@ -95,7 +95,7 @@ restarts=$(client show "$big" -field restarts)
     || { echo "job completed with restarts=$restarts, want >= 1 (kill landed after the run?)" >&2; exit 1; }
 
 client download "$big" -o "$workdir/big.bin" >/dev/null
-"$workdir/pagen" -n "$RN" -x 3 -seed 7 -ranks 2 -workers 2 \
+"$workdir/pagen" -n "$RN" -x 3 -seed 7 -ranks 2 \
     -format binary -o "$workdir/ref.bin"
 cmp "$workdir/big.bin" "$workdir/ref.bin" \
     || { echo "resumed job's download differs from direct pagen run" >&2; exit 1; }
@@ -112,7 +112,7 @@ done
 # The big job lands behind running smalls and must wait for the whole
 # pool; the trailing smalls test that backfill cannot starve it past
 # the reservation bound.
-bigstream=$(client submit -n 400000 -x 3 -seed 11 -job-ranks "$SLOTS" -job-workers 2)
+bigstream=$(client submit -n 400000 -x 3 -seed 11 -job-ranks "$SLOTS")
 while [ $i -lt "$SMALL_JOBS" ]; do
     ids="$ids $(client submit -n 50000 -x 2 -seed $((100 + i)))"
     i=$((i + 1))

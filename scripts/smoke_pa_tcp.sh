@@ -3,9 +3,6 @@
 # processes, real TCP mesh, the full generation protocol plus the
 # post-run collective sequence (the stats gather that the unsequenced
 # tag protocol used to kill at 4 ranks), plus per-rank metrics export.
-# Each rank runs with 2 generation workers, so the worker-sharded loop
-# (inbox dispatch, striped send buffers, per-worker Done accounting) is
-# exercised against the real TCP transport, not just the in-process one.
 # Exits non-zero if any rank fails, hangs past the timeout, or the
 # output shards don't union to the expected edge count.
 #
@@ -38,15 +35,14 @@
 # With "shm" as the first argument it runs the in-process transport
 # smoke instead: pagen over the shared-memory transport (message
 # batches by reference, no codec) against the codec-ablation local
-# transport, at 1 and 2 workers per rank — all four outputs must be
-# byte-identical (DESIGN.md §13.1).
+# transport at 4 ranks — both outputs must be byte-identical
+# (DESIGN.md §13.1).
 set -eu
 
 MODE=${1:-basic}
 N=${N:-50000}
 X=${X:-4}
 RANKS=4
-WORKERS=${WORKERS:-2}
 BASE_PORT=${BASE_PORT:-9700}
 TIMEOUT=${TIMEOUT:-120}
 
@@ -55,26 +51,18 @@ trap 'rm -rf "$workdir"' EXIT
 
 if [ "$MODE" = shm ]; then
     # In-process transport smoke: the shm fast path and the local codec
-    # path must agree byte for byte, at every worker count.
+    # path must agree byte for byte.
     SEED=${SEED:-7}
     go build -o "$workdir/pagen" ./cmd/pagen
 
-    ref=""
     for tr in shm local; do
-        for w in 1 2; do
-            out="$workdir/$tr-w$w.bin"
-            timeout "$TIMEOUT" "$workdir/pagen" -n "$N" -x "$X" -seed "$SEED" \
-                -ranks "$RANKS" -workers "$w" -transport "$tr" \
-                -format binary -o "$out"
-            if [ -z "$ref" ]; then
-                ref="$out"
-            else
-                cmp "$ref" "$out" \
-                    || { echo "output differs: $ref vs $out" >&2; exit 1; }
-            fi
-        done
+        timeout "$TIMEOUT" "$workdir/pagen" -n "$N" -x "$X" -seed "$SEED" \
+            -ranks "$RANKS" -transport "$tr" \
+            -format binary -o "$workdir/$tr.bin"
     done
-    echo "pagen shm smoke: $RANKS ranks, shm and local transports at 1 and 2 workers, all outputs byte-identical (n=$N, x=$X)"
+    cmp "$workdir/shm.bin" "$workdir/local.bin" \
+        || { echo "output differs: shm vs local" >&2; exit 1; }
+    echo "pagen shm smoke: $RANKS ranks, shm and local transports byte-identical (n=$N, x=$X)"
     exit 0
 fi
 
@@ -97,13 +85,13 @@ if [ "$MODE" = resume ]; then
 
     echo "resume smoke: baseline supervised run (n=$RN, x=3)"
     timeout "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-        -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" \
+        -n "$RN" -x 3 -seed "$SEED" \
         -checkpoint-dir "$workdir/ck-base" -checkpoint-every "$EVERY" \
         -shard-dir "$workdir/base" 2>"$workdir/base.log"
 
     echo "resume smoke: kill-and-resume supervised run"
     timeout "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-        -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" \
+        -n "$RN" -x 3 -seed "$SEED" \
         -checkpoint-dir "$workdir/ck-kill" -checkpoint-every "$EVERY" \
         -shard-dir "$workdir/kill" 2>"$workdir/kill.log" &
     sup=$!
@@ -154,14 +142,14 @@ if [ "$MODE" = chaos ]; then
 
     echo "chaos smoke: baseline supervised run (n=$RN, x=3, full every $FULL_EVERY epochs)"
     timeout "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-        -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" \
+        -n "$RN" -x 3 -seed "$SEED" \
         -checkpoint-dir "$workdir/ck-base" -checkpoint-every "$EVERY" \
         -checkpoint-full-every "$FULL_EVERY" \
         -shard-dir "$workdir/base" 2>"$workdir/base.log"
 
     echo "chaos smoke: kill-mid-epoch supervised run"
     timeout "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-        -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" \
+        -n "$RN" -x 3 -seed "$SEED" \
         -checkpoint-dir "$workdir/ck-chaos" -checkpoint-every "$EVERY" \
         -checkpoint-full-every "$FULL_EVERY" \
         -shard-dir "$workdir/chaos" 2>"$workdir/chaos.log" &
@@ -217,14 +205,14 @@ if [ "$MODE" = stream ]; then
 
     echo "stream smoke: in-memory reference run (n=$RN, x=3)"
     timeout "$TIMEOUT" "$workdir/pagen" -n "$RN" -x 3 -seed "$SEED" \
-        -ranks "$RANKS" -workers "$WORKERS" -format binary \
+        -ranks "$RANKS" -format binary \
         -o "$workdir/mem.bin"
     memfp=$("$workdir/pa-analyze" -i "$workdir/mem.bin" -format binary \
         -fingerprint | awk '{print $2}')
 
     echo "stream smoke: kill-and-resume supervised streamed run"
     timeout "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-        -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" \
+        -n "$RN" -x 3 -seed "$SEED" \
         -checkpoint-dir "$workdir/ck-stream" -checkpoint-every "$EVERY" \
         -stream-dir "$workdir/shards" 2>"$workdir/stream.log" &
     sup=$!
@@ -268,13 +256,13 @@ pids=""
 i=1
 while [ $i -lt $RANKS ]; do
     timeout "$TIMEOUT" "$workdir/pa-tcp" -rank $i -addrs "$addrs" \
-        -n "$N" -x "$X" -workers "$WORKERS" -o "$workdir/shard$i.bin" \
+        -n "$N" -x "$X" -o "$workdir/shard$i.bin" \
         -metrics "$workdir/metrics$i.json" &
     pids="$pids $!"
     i=$((i + 1))
 done
 timeout "$TIMEOUT" "$workdir/pa-tcp" -rank 0 -addrs "$addrs" \
-    -n "$N" -x "$X" -workers "$WORKERS" -o "$workdir/shard0.bin" -stats \
+    -n "$N" -x "$X" -o "$workdir/shard0.bin" -stats \
     -metrics "$workdir/metrics0.json"
 
 for pid in $pids; do
@@ -300,13 +288,13 @@ pids=""
 i=1
 while [ $i -lt $RANKS ]; do
     timeout "$TIMEOUT" "$workdir/pa-tcp" -rank $i -addrs "$addrs" \
-        -n "$N" -x "$X" -workers "$WORKERS" -hub-prefix -1 \
+        -n "$N" -x "$X" -hub-prefix -1 \
         -o "$workdir/shard$i.off.bin" &
     pids="$pids $!"
     i=$((i + 1))
 done
 timeout "$TIMEOUT" "$workdir/pa-tcp" -rank 0 -addrs "$addrs" \
-    -n "$N" -x "$X" -workers "$WORKERS" -hub-prefix -1 \
+    -n "$N" -x "$X" -hub-prefix -1 \
     -o "$workdir/shard0.off.bin"
 
 for pid in $pids; do
@@ -328,13 +316,13 @@ pids=""
 i=1
 while [ $i -lt $RANKS ]; do
     timeout "$TIMEOUT" "$workdir/pa-tcp" -rank $i -addrs "$addrs" \
-        -n "$N" -x "$X" -workers "$WORKERS" -resolve recompute \
+        -n "$N" -x "$X" -resolve recompute \
         -o "$workdir/shard$i.rc.bin" &
     pids="$pids $!"
     i=$((i + 1))
 done
 timeout "$TIMEOUT" "$workdir/pa-tcp" -rank 0 -addrs "$addrs" \
-    -n "$N" -x "$X" -workers "$WORKERS" -resolve recompute \
+    -n "$N" -x "$X" -resolve recompute \
     -o "$workdir/shard0.rc.bin"
 
 for pid in $pids; do
@@ -348,4 +336,4 @@ while [ $i -lt $RANKS ]; do
     i=$((i + 1))
 done
 
-echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards byte-identical"
+echo "pa-tcp smoke: $RANKS ranks over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards byte-identical"
